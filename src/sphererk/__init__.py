@@ -8,6 +8,7 @@ from .errors import (
     LogBranchUndefinedError,
     NearPoleError,
     NoConvergenceError,
+    NonFiniteStateError,
     NonPositiveError,
     ReferenceUnavailableError,
     SphereRKError,

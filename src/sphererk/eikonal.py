@@ -25,8 +25,10 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .batch import exp_rows, normalize_rows, slerp_rows
-from .errors import DegenerateFrontError, StepTooLargeError
+from .batch import (
+    check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows, snapshot_steps,
+)
+from .errors import DegenerateFrontError
 from .geometry import TangentVector, UnitVector3
 from .vec import Vec3
 
@@ -90,27 +92,25 @@ def y31_model() -> VelocityModel:
     gradient (validated against finite differences in the tests).
     """
 
+    # Reciprocal powers of r are built by multiplication: z**3 takes numpy's
+    # slow pow path for negative z.
     def v(x: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(x, axis=-1)
-        return 1.0 + Y31_AMPLITUDE * x[..., 0] * (
-            5.0 * x[..., 2] ** 2 - r * r
-        ) / r**3
+        xx, zz = x[..., 0], x[..., 2]
+        r2 = row_dot(x, x)
+        return 1.0 + Y31_AMPLITUDE * xx * (5.0 * zz * zz - r2) / (r2 * np.sqrt(r2))
 
     def grad_v(x: np.ndarray) -> np.ndarray:
         xx, yy, zz = x[..., 0], x[..., 1], x[..., 2]
-        r2 = np.sum(x * x, axis=-1)
-        r = np.sqrt(r2)
-        r3, r5 = r2 * r, r2 * r2 * r
+        r2 = row_dot(x, x)
+        inv_r = 1.0 / np.sqrt(r2)
+        inv_r3 = inv_r / r2
+        c = 15.0 * zz * zz * (inv_r3 / r2)  # 15 z^2 / r^5
         out = np.empty_like(x)
-        out[..., 0] = (
-            5.0 * zz**2 / r3
-            - 15.0 * xx**2 * zz**2 / r5
-            - 1.0 / r
-            + xx**2 / r3
-        )
-        out[..., 1] = xx * yy / r3 - 15.0 * xx * yy * zz**2 / r5
-        out[..., 2] = 11.0 * xx * zz / r3 - 15.0 * xx * zz**3 / r5
-        return Y31_AMPLITUDE * out
+        out[..., 0] = (5.0 * zz * zz + xx * xx) * inv_r3 - xx * xx * c - inv_r
+        out[..., 1] = xx * yy * (inv_r3 - c)
+        out[..., 2] = xx * zz * (11.0 * inv_r3 - c)
+        out *= Y31_AMPLITUDE
+        return out
 
     return VelocityModel("y31", v, grad_v)
 
@@ -143,19 +143,18 @@ def _rhs(model: VelocityModel, x: np.ndarray, k: np.ndarray):
     """Ray right-hand sides f1 = v^2 [k - (x.k) x/|x|] and
     f2 = v^2 (x.k)/|x| [k - (x.k)/|x| x] - grad(v)/v."""
     v = model.v(x)[..., None]
-    nx = np.linalg.norm(x, axis=-1, keepdims=True)
-    xk = np.sum(x * k, axis=-1, keepdims=True)
-    bracket = k - (xk / nx) * x
-    f1 = v * v * bracket
-    f2 = (v * v * xk / nx) * bracket - model.grad_v(x) / v
+    v2 = v * v
+    xk = (row_dot(x, k) / row_norm(x))[..., None]
+    bracket = k - xk * x
+    f1 = v2 * bracket
+    f2 = (v2 * xk) * bracket - model.grad_v(x) / v
     return f1, f2
 
 
 def hamiltonian(model: VelocityModel, x: np.ndarray, k: np.ndarray) -> np.ndarray:
     v = model.v(x)
-    n = normalize_rows(x)
-    kn = np.sum(k * n, axis=-1)
-    return 0.5 * (v * v * (np.sum(k * k, axis=-1) - kn * kn) - 1.0)
+    kn = row_dot(k, x) / row_norm(x)
+    return 0.5 * (v * v * (row_dot(k, k) - kn * kn) - 1.0)
 
 
 def ray_rhs(model: VelocityModel, state: RayState):
@@ -167,36 +166,28 @@ def ray_rhs(model: VelocityModel, state: RayState):
     return dx, tuple(f2[0]), 1.0
 
 
-def _guard_arc(h: float, f1: np.ndarray, limit: float) -> None:
-    arc = abs(h) * float(np.max(np.linalg.norm(f1, axis=-1)))
-    if arc >= limit:
-        raise StepTooLargeError(f"ray stage arc {arc!r} exceeds {limit!r}")
-
-
 def _step_rows(scheme: str, model: VelocityModel, x: np.ndarray, k: np.ndarray, h: float):
     """Advance all rays by one step of the requested coupled scheme."""
     if scheme == "sfe":
         f1, f2 = _rhs(model, x, k)
-        _guard_arc(h, f1, math.pi)
+        check_arc(h, f1, math.pi, "ray")
         return exp_rows(x, h * f1), k + h * f2
     if scheme == "pfe":
         f1, f2 = _rhs(model, x, k)
         return normalize_rows(x + h * f1), k + h * f2
 
+    def advance(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+        if scheme not in ("stvdrk2", "stvdrk3"):
+            return q + h * f
+        check_arc(h, f, HALF_PI, "ray")
+        return exp_rows(q, h * f)
+
     f1, f2 = _rhs(model, x, k)
-    if scheme in ("stvdrk2", "stvdrk3"):
-        _guard_arc(h, f1, HALF_PI)
-        q1 = exp_rows(x, h * f1)
-    else:
-        q1 = x + h * f1
+    q1 = advance(x, f1)
     s1 = k + h * f2
 
     g1, g2 = _rhs(model, q1, s1)
-    if scheme in ("stvdrk2", "stvdrk3"):
-        _guard_arc(h, g1, HALF_PI)
-        q2 = exp_rows(q1, h * g1)
-    else:
-        q2 = q1 + h * g1
+    q2 = advance(q1, g1)
     s2 = s1 + h * g2
 
     if scheme == "stvdrk2":
@@ -213,11 +204,7 @@ def _step_rows(scheme: str, model: VelocityModel, x: np.ndarray, k: np.ndarray, 
     s3 = 0.75 * k + 0.25 * s2
 
     h1, h2 = _rhs(model, q3, s3)
-    if scheme == "stvdrk3":
-        _guard_arc(h, h1, HALF_PI)
-        q4 = exp_rows(q3, h * h1)
-    else:
-        q4 = q3 + h * h1
+    q4 = advance(q3, h1)
     s4 = s3 + h * h2
 
     knext = (k + 2.0 * s4) / 3.0
@@ -300,31 +287,12 @@ def trace_wavefront(
         scheme = scheme_for_order(order)
     if scheme not in COUPLED_SCHEMES:
         raise ValueError(f"unknown coupled scheme {scheme!r}")
-    n_steps = round(t_final / h)
-    if abs(n_steps * h - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer number of steps")
-    if snapshot_times is None:
-        snapshot_times = [t_final]
-    want: dict[int, float] = {}
-    for t in snapshot_times:
-        i = round(t / h)
-        if abs(i * h - t) > 1e-6:
-            raise ValueError(f"snapshot time {t!r} is not on the step grid")
-        want[i] = t
+    n_steps, want = snapshot_steps(h, t_final, snapshot_times)
     x, k = initial_rays(model, xs, n_rays)
     fronts: List[Wavefront] = []
 
     def emit(i: int) -> None:
-        u_val = i * h
-        fronts.append(
-            Wavefront(
-                t=u_val,
-                xs=xs,
-                x=x.copy(),
-                k=k.copy(),
-                u=np.full(n_rays, u_val),
-            )
-        )
+        fronts.append(Wavefront(t=i * h, xs=xs, x=x.copy(), k=k.copy(), u=np.full(n_rays, i * h)))
 
     if 0 in want:
         emit(0)
@@ -347,14 +315,8 @@ def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -
         t = front.t
     x = front.x
     xs_arr = np.asarray(xs, dtype=float)
-    d = np.arctan2(
-        np.linalg.norm(np.cross(x, xs_arr), axis=-1), x @ xs_arr
-    )
-    g = (t - d) ** 2
-    nxt = np.roll(x, -1, axis=0)
-    seg = np.arctan2(
-        np.linalg.norm(np.cross(x, nxt), axis=-1), np.sum(x * nxt, axis=-1)
-    )
+    g = (t - row_angle(x, xs_arr)) ** 2
+    seg = row_angle(x, np.roll(x, -1, axis=0))
     total = float(np.sum(seg))
     if total < 1e-12:
         raise DegenerateFrontError("wavefront polyline has zero length")
@@ -365,10 +327,9 @@ def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -
 def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) -> None:
     lines = ["t,ray_index,x,y,z,kx,ky,kz,u"]
     for front in fronts:
-        for j in range(front.x.shape[0]):
-            px, py, pz = front.x[j]
-            kx, ky, kz = front.k[j]
-            lines.append(
-                f"{front.t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{front.u[j]!r}"
-            )
+        t = float(front.t)
+        # .tolist() yields Python floats, whose repr is the shortest round trip
+        rows = zip(front.x.tolist(), front.k.tolist(), front.u.tolist())
+        for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows):
+            lines.append(f"{t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

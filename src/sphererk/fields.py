@@ -26,12 +26,14 @@ class VelocityField:
 
     ``raw`` evaluates at an on-sphere point and returns the tangent 3-vector
     (already projected onto the tangent plane); calling the field wraps the
-    result as a TangentVector.
+    result as a TangentVector.  ``params`` holds the hashable values defining
+    ``raw`` (vortex centres, rotation, matrix), so caches key on the field.
     """
 
     raw: Callable[[Vec3, float], Vec3]
     autonomous: bool = True
     name: str = ""
+    params: Tuple = ()
 
     def __call__(self, p: UnitVector3, t: float = 0.0) -> TangentVector:
         return TangentVector(p, self.raw(p, t))
@@ -76,7 +78,7 @@ def vortex4_field(centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS) -> Velocit
             out = vec.axpy(0.5 / d, vec.cross(c, p), out)
         return _project_tangent(p, out)
 
-    return VelocityField(raw, autonomous=True, name="vortex4")
+    return VelocityField(raw, autonomous=True, name="vortex4", params=tuple(centers))
 
 
 def rigid_rotation_field(omega: Vec3) -> VelocityField:
@@ -85,7 +87,7 @@ def rigid_rotation_field(omega: Vec3) -> VelocityField:
     def raw(p: Vec3, t: float) -> Vec3:
         return vec.cross(omega, p)
 
-    return VelocityField(raw, autonomous=True, name="rotation")
+    return VelocityField(raw, autonomous=True, name="rotation", params=tuple(omega))
 
 
 def rotate_about(omega: Vec3, p: Vec3, t: float) -> UnitVector3:
@@ -117,7 +119,7 @@ def projected_linear_field(m: Matrix3) -> VelocityField:
         mq = matvec(m, q)
         return vec.axpy(-vec.dot(q, mq), q, mq)
 
-    return VelocityField(raw, autonomous=True, name="projected-linear")
+    return VelocityField(raw, autonomous=True, name="projected-linear", params=tuple(map(tuple, m)))
 
 
 def diag(d1: float, d2: float, d3: float) -> Matrix3:

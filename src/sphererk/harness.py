@@ -19,7 +19,7 @@ import numpy as np
 
 from . import vec
 from .baselines import ON_SPHERE, BaselineId, angle_recurrence, baseline_stepper
-from .errors import NonPositiveError, ReferenceUnavailableError, SphereRKError
+from .errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError, SphereRKError
 from .fields import (
     STABILITY_MATRIX,
     VelocityField,
@@ -110,17 +110,23 @@ def stays_on_sphere(scheme: AnyScheme) -> bool:
 
 def fit_order(rows: Sequence[Tuple[float, float]],
               floor: float = ERROR_FLOOR,
-              cap: float = PREASYMPTOTIC_CAP) -> float:
+              cap: float = PREASYMPTOTIC_CAP,
+              finest: Optional[int] = None) -> float:
     """Least-squares slope of log(err) against log(h).
 
     Rows at the round-off floor (err <= ``floor``) and pre-asymptotic rows
-    (err > ``cap``) are excluded before fitting.  Raises NonPositiveError on
-    negative error values, ValueError when fewer than three usable rows
-    remain.
+    (err > ``cap``) are excluded before fitting; with ``finest`` set only the
+    last ``finest`` usable rows are fitted.  Raises NonFiniteStateError on NaN
+    or infinite error values, NonPositiveError on negative ones, ValueError
+    when fewer than three usable rows remain.
     """
+    if not all(math.isfinite(err) for _, err in rows):
+        raise NonFiniteStateError("error values must be finite")
     if any(err < 0.0 for _, err in rows):
         raise NonPositiveError("error values must be positive")
     usable = [(h, err) for h, err in rows if floor < err <= cap]
+    if finest is not None:
+        usable = usable[-finest:]
     if len(usable) < 3:
         raise ValueError(f"need at least 3 usable rows to fit an order, got {len(usable)}")
     logh = np.log([h for h, _ in usable])
@@ -131,10 +137,8 @@ def fit_order(rows: Sequence[Tuple[float, float]],
 
 def _fit_asymptotic(rows: Sequence[Tuple[float, float]]) -> Optional[float]:
     """Fitted order over the finest ASYMPTOTIC_FIT_POINTS usable rows, or None."""
-    usable = [(h, err) for h, err in rows if ERROR_FLOOR < err <= PREASYMPTOTIC_CAP]
-    usable = usable[-ASYMPTOTIC_FIT_POINTS:]
     try:
-        return fit_order(usable)
+        return fit_order(rows, finest=ASYMPTOTIC_FIT_POINTS)
     except (ValueError, NonPositiveError):
         return None
 
@@ -159,8 +163,10 @@ _reference_cache: Dict[Tuple, UnitVector3] = {}
 
 
 def reference_endpoint(problem: Problem, h_ref: float) -> UnitVector3:
-    """Fine-step third-order endpoint used as the exact solution; cached."""
-    key = (problem.name, problem.p0, problem.t_final, h_ref)
+    """Fine-step third-order endpoint used as the exact solution, cached per
+    field parameters (else raw function), start point, horizon and h_ref."""
+    f = problem.f
+    key = (f.name, f.params or f.raw, problem.p0, problem.t_final, h_ref)
     if key not in _reference_cache:
         try:
             traj = integrate_steps(

@@ -444,10 +444,3 @@ def integrate(
     """Trajectory of a sphere scheme on the uniform grid (see integrate_steps)."""
     step = stepper_for(scheme) if isinstance(scheme, (SchemeId, str)) else scheme
     return integrate_steps(step, f, p0, t0, t_final, h)
-
-
-def fine_reference_endpoint(
-    f: VelocityField, p0: UnitVector3, t0: float, t_final: float, h_ref: float
-) -> UnitVector3:
-    """Endpoint of a fine-step third-order integration, used as the 'exact' value."""
-    return integrate(SchemeId.STVDRK3, f, p0, t0, t_final, h_ref)[-1][1]

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from sphererk.geometry import UnitVector3
@@ -31,3 +32,9 @@ def seeded_unit_vectors(seed, count):
         if n > 1e-3:
             out.append(UnitVector3(v[0] / n, v[1] / n, v[2] / n))
     return out
+
+
+def read_csv_floats(path):
+    """Data rows of a CSV file, every cell parsed with float() (raises on a non-number)."""
+    lines = path.read_text().strip().split("\n")[1:]
+    return np.array([[float(cell) for cell in line.split(",")] for line in lines])

@@ -1,0 +1,112 @@
+import math
+
+import numpy as np
+import pytest
+
+from sphererk.batch import (
+    check_arc,
+    exp_rows,
+    normalize_rows,
+    row_angle,
+    row_dot,
+    row_norm,
+    slerp_rows,
+)
+from sphererk.errors import AntipodalPointsError, NonFiniteStateError, StepTooLargeError
+from sphererk.geometry import exp_raw, geodesic_distance, slerp
+
+OMEGAS = [0.0, 1e-12, 1e-9, 1e-7, 1e-3, 1.0, 3.0, math.pi - 1e-6]
+
+
+def frame(n, seed=7):
+    """Unit rows P with unit tangent directions D at them."""
+    rng = np.random.default_rng(seed)
+    p = normalize_rows(rng.standard_normal((n, 3)))
+    d = rng.standard_normal((n, 3))
+    d -= row_dot(d, p)[:, None] * p
+    return p, normalize_rows(d)
+
+
+def pairs_at(omega, n=64):
+    p, d = frame(n)
+    q = np.array([exp_raw(tuple(pi), tuple(omega * di)) for pi, di in zip(p, d)])
+    return p, q
+
+
+def test_row_helpers_match_numpy_reductions():
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+    assert np.allclose(row_dot(a, b), np.sum(a * b, axis=1), rtol=1e-15, atol=1e-15)
+    assert np.allclose(row_norm(a), np.linalg.norm(a, axis=1), rtol=1e-15, atol=0.0)
+    assert row_dot(a[0], b[0]).shape == ()
+
+
+def test_row_angle_matches_scalar_distance():
+    for omega in OMEGAS:
+        p, q = pairs_at(omega)
+        scalar = [geodesic_distance(tuple(pi), tuple(qi)) for pi, qi in zip(p, q)]
+        assert np.max(np.abs(row_angle(p, q) - scalar)) <= 1e-14
+
+
+@pytest.mark.parametrize("omega", OMEGAS)
+def test_slerp_rows_matches_scalar_across_separations(omega):
+    p, q = pairs_at(omega)
+    for t in (0.25, 0.5, 2.0 / 3.0):
+        rows = slerp_rows(p, q, t)
+        scalar = np.array([slerp(tuple(pi), tuple(qi), t) for pi, qi in zip(p, q)])
+        assert np.max(np.abs(rows - scalar)) <= 1e-14
+        # The sine weights grow like 1/sin(omega), and so does the rounding in
+        # the result's norm; below 1 rad (the nlerp rows included) it is 1e-15.
+        bound = 1e-15 if omega <= 1.0 else 1e-15 / math.sin(omega)
+        assert np.max(np.abs(row_norm(rows) - 1.0)) <= bound
+
+
+def test_slerp_rows_rejects_antipodal_rows():
+    p, q = pairs_at(math.pi - 1e-9)
+    with pytest.raises(AntipodalPointsError):
+        slerp_rows(p, q, 0.5)
+
+
+def test_slerp_rows_rejects_nan_rows():
+    p, q = pairs_at(0.5)
+    q[3, 1] = math.nan
+    with pytest.raises(NonFiniteStateError):
+        slerp_rows(p, q, 0.5)
+
+
+def test_exp_rows_mixed_small_and_large_steps():
+    p, d = frame(8)
+    lengths = np.array([0.0, 1e-12, 1e-9, 5e-9, 1e-3, 0.5, 1.0, 2.0])
+    out = exp_rows(p, lengths[:, None] * d)
+    for i in range(8):
+        scalar = exp_raw(tuple(p[i]), tuple(lengths[i] * d[i]))
+        assert np.max(np.abs(out[i] - scalar)) <= 1e-15
+    assert np.array_equal(out[0], p[0])
+
+
+def test_check_arc_passes_below_limit():
+    v = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    check_arc(0.5, v, 1.0 + 1e-12, "test")
+    check_arc(-0.5, v, 1.0 + 1e-12, "test")
+
+
+def test_check_arc_rejects_finite_arc_at_or_over_limit():
+    v = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    with pytest.raises(StepTooLargeError):
+        check_arc(0.5, v, 1.0, "test")
+    # squares that overflow still come from a finite velocity
+    with pytest.raises(StepTooLargeError):
+        check_arc(1.0, np.array([[1e200, 0.0, 0.0]]), 1.0, "test")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_arc_rejects_non_finite_velocity(bad):
+    v = np.zeros((4, 3))
+    v[2, 0] = bad
+    with pytest.raises(NonFiniteStateError):
+        check_arc(0.1, v, 1.0, "test")
+
+
+def test_check_arc_rejects_nan_step():
+    with pytest.raises(NonFiniteStateError):
+        check_arc(math.nan, np.ones((2, 3)), 1.0, "test")

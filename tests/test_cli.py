@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import read_csv_floats
+from sphererk import eikonal, pharmonic
 from sphererk.cli import main, parse_h_spec
+from sphererk.geometry import UnitVector3
 from sphererk.harness import AppendixBReport
 
 
@@ -125,3 +129,32 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli.harness, "verify_appendix_b", lambda: failed)
     assert main(["verify", "--target", "appendix-b"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_eikonal_csv_cells_are_round_trip_floats(tmp_path):
+    out = tmp_path / "front.csv"
+    assert main([
+        "eikonal", "--velocity", "y31", "--order", "3", "--rays", "16",
+        "--dt", "0.1", "--t-final", "0.3", "--snapshots", "0.1,0.3", "--out", str(out),
+    ]) == 0
+    fronts = eikonal.trace_wavefront(eikonal.y31_model(), UnitVector3(1.0, 0.0, 0.0), 16, 0.1, 0.3,
+                                     order=3, snapshot_times=[0.1, 0.3])
+    want = np.concatenate(
+        [np.column_stack([np.full(16, f.t), np.arange(16), f.x, f.k, f.u]) for f in fronts]
+    )
+    assert np.array_equal(read_csv_floats(out), want)
+
+
+def test_pharmonic_csv_cells_are_round_trip_floats(tmp_path):
+    out = tmp_path / "flow.csv"
+    assert main([
+        "pharmonic", "--p", "1", "--nodes", "16", "--dt", "1e-4",
+        "--t-final", "3e-4", "--snapshots", "0,3e-4", "--out", str(out),
+    ]) == 0
+    curve = pharmonic.initial_discontinuous_curve(16)
+    snaps = pharmonic.pflow_evolve(curve, pharmonic.PFlowParams(p=1.0, dt=1e-4, t_final=3e-4),
+                                   snapshot_times=[0.0, 3e-4])
+    want = np.concatenate(
+        [np.column_stack([np.full(16, t), np.arange(16) / 16, c.m]) for t, c in snaps]
+    )
+    assert np.array_equal(read_csv_floats(out), want)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import seeded_unit_vectors
+from conftest import read_csv_floats, seeded_unit_vectors
 from sphererk import vec
 from sphererk.batch import exp_rows, slerp_rows
 from sphererk.eikonal import (
     COUPLED_SCHEMES,
     MODELS,
     RayState,
+    VelocityModel,
     Wavefront,
     constant_model,
     coupled_step,
@@ -25,7 +26,7 @@ from sphererk.eikonal import (
     y31,
     y31_model,
 )
-from sphererk.errors import DegenerateFrontError, StepTooLargeError
+from sphererk.errors import DegenerateFrontError, NonFiniteStateError, StepTooLargeError
 from sphererk.geometry import UnitVector3, exp_raw, geodesic_distance, slerp
 
 XS = UnitVector3(1.0, 0.0, 0.0)
@@ -242,3 +243,39 @@ def test_wavefront_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,ray_index,x,y,z,kx,ky,kz,u"
     assert len(lines) == 1 + 2 * 8
+
+
+def test_y31_grad_v_matches_finite_differences_below_the_equator():
+    model = y31_model()
+    eps = 1e-6
+    pts = [p for p in seeded_unit_vectors(63, 60) if p[2] < -0.05][:20]
+    x = np.array(pts) * np.array([[1.0], [0.8], [1.3], [1.0]] * 5)  # off the sphere too
+    grad = model.grad_v(x)
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = eps
+        fd = (model.v(x + e) - model.v(x - e)) / (2 * eps)
+        assert np.max(np.abs(grad[:, j] - fd)) < 1e-6 * max(1.0, float(np.max(np.abs(grad[:, j]))))
+
+
+@pytest.mark.parametrize("scheme", ["sfe", "stvdrk2", "stvdrk3"])
+def test_non_finite_velocity_raises_non_finite_state(scheme):
+    def v(x):
+        out = np.ones(x.shape[:-1])
+        out[x[..., 2] > 0.0] = math.nan
+        return out
+
+    model = VelocityModel("nan-north", v=v, grad_v=lambda x: np.zeros_like(x))
+    with pytest.raises(NonFiniteStateError):
+        trace_wavefront(model, XS, 8, 0.1, 1.0, scheme=scheme)
+
+
+def test_wavefront_csv_cells_are_round_trip_floats(tmp_path):
+    model = y31_model()
+    fronts = trace_wavefront(model, XS, 8, 0.1, 0.5, scheme="stvdrk3", snapshot_times=[0.2, 0.5])
+    out = tmp_path / "front.csv"
+    write_wavefronts_csv(out, fronts)
+    want = np.concatenate(
+        [np.column_stack([np.full(8, f.t), np.arange(8), f.x, f.k, f.u]) for f in fronts]
+    )
+    assert np.array_equal(read_csv_floats(out), want)

@@ -1,9 +1,13 @@
 import json
+import math
 
 import pytest
 
 from sphererk import vec
-from sphererk.errors import NonPositiveError
+from sphererk.errors import NonFiniteStateError, NonPositiveError
+from sphererk.fields import VORTEX4_CENTERS, VortexConfig
+from sphererk.geometry import project
+from sphererk.integrators import SchemeId, integrate_steps, stepper_for
 from sphererk.harness import (
     AppendixAReport,
     appendix_a_coefficients,
@@ -43,6 +47,15 @@ def test_fit_order_rejects_negative_errors():
         fit_order([(0.1, 1e-2), (0.05, -1.0), (0.025, 1e-4)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_order_rejects_non_finite_errors(bad):
+    rows = [(0.1, 1e-2), (0.05, bad), (0.025, 1e-3), (0.0125, 2e-4), (0.00625, 3e-5)]
+    with pytest.raises(NonFiniteStateError):
+        fit_order(rows)
+    with pytest.raises(NonFiniteStateError):
+        fit_order(rows, floor=0.0, cap=math.inf)
+
+
 def test_fit_order_needs_three_usable_rows():
     with pytest.raises(ValueError):
         fit_order([(0.1, 1e-2), (0.05, 2.5e-3)])
@@ -61,6 +74,22 @@ def test_reference_is_cached():
     a = reference_endpoint(prob, 1e-3)
     b = reference_endpoint(prob, 1e-3)
     assert a is b
+
+
+def test_reference_cache_is_keyed_by_the_vortex_centres():
+    c, s = math.cos(0.4), math.sin(0.4)
+    shifted = tuple(project((c * x - s * y, s * x + c * y, z)) for x, y, z in VORTEX4_CENTERS)
+    default, moved = vortex_problem(), vortex_problem(VortexConfig(centers=shifted))
+    assert moved.p0 == default.p0
+    a = reference_endpoint(default, 1e-3)
+    b = reference_endpoint(moved, 1e-3)
+    direct = integrate_steps(stepper_for(SchemeId.STVDRK3), moved.f, moved.p0, 0.0,
+                             moved.t_final, 1e-3)[-1][1]
+    assert b == direct
+    assert vec.norm(vec.sub(a, b)) > 1e-3
+    # equal configurations still share one cached reference
+    again = vortex_problem(VortexConfig(centers=shifted))
+    assert reference_endpoint(again, 1e-3) is b
 
 
 def test_reference_stable_under_refinement():

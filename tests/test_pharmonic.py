@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sphererk.errors import StepTooLargeError
+from conftest import read_csv_floats
+from sphererk.errors import NonFiniteStateError, StepTooLargeError
 from sphererk.pharmonic import (
     DirectorCurve,
     PFlowParams,
@@ -182,3 +183,41 @@ def test_snapshot_csv(tmp_path):
     assert lines[0] == "t,s,mx,my,mz"
     assert len(lines) == 1 + 2 * 8
     assert lines[1].startswith("0.0,0.0,")
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_rhs_equals_double_cross_form(p):
+    for c in (wobbly_curve(), initial_discontinuous_curve(64)):
+        lap = p_laplacian(c, p)
+        double_cross = np.cross(c.m, np.cross(lap, c.m))
+        rhs = pflow_rhs(c, p)
+        assert np.max(np.abs(rhs - double_cross)) <= 1e-12 * np.max(np.abs(double_cross))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_curve_validation_rejects_non_finite_samples(bad):
+    m = wobbly_curve().m.copy()
+    m[5, 2] = bad
+    with pytest.raises(ValueError):
+        DirectorCurve(m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_node_raises_non_finite_state(bad):
+    c = wobbly_curve()
+    c.m[5, 2] = bad  # poisoned after validation
+    params = PFlowParams(p=1.0, dt=default_dt(c, 1.0), t_final=default_dt(c, 1.0))
+    with pytest.raises(NonFiniteStateError), np.errstate(invalid="ignore"):
+        pflow_evolve(c, params)
+
+
+def test_snapshot_csv_cells_are_round_trip_floats(tmp_path):
+    c = wobbly_curve(16)
+    dt = default_dt(c, 1.0)
+    snaps = pflow_evolve(c, PFlowParams(p=1.0, dt=dt, t_final=3 * dt), snapshot_times=[0.0, 3 * dt])
+    out = tmp_path / "flow.csv"
+    write_snapshots_csv(out, snaps)
+    want = np.concatenate(
+        [np.column_stack([np.full(16, t), np.arange(16) / 16, curve.m]) for t, curve in snaps]
+    )
+    assert np.array_equal(read_csv_floats(out), want)
