@@ -8,6 +8,7 @@ from .errors import (
     LogBranchUndefinedError,
     NearPoleError,
     NoConvergenceError,
+    NonAutonomousFieldError,
     NonFiniteStateError,
     NonPositiveError,
     ReferenceUnavailableError,

@@ -9,6 +9,9 @@ The velocity field is always evaluated through the closest-point extension
 f(x, t) = f(x/|x|, t), so stage values slightly off the sphere remain legal
 field arguments.  States are free 3-vectors; projected variants return unit
 vectors, unprojected ones generally do not.
+
+``rk6_step`` (Butcher's sixth-order method) is not a baseline: the harness
+uses it only for reference endpoints, so no scheme under test grades itself.
 """
 
 from __future__ import annotations
@@ -78,6 +81,41 @@ def _rk4(f, x, t, h):
     s4 = _ext(f, q3, t + h)
     acc = vec.add(vec.add(s1, vec.scale(vec.add(s2, s3), 2.0)), s4)
     return vec.axpy(h / 6.0, acc, x)
+
+
+# Butcher's seven-stage sixth-order method (J. Austral. Math. Soc. 4, 1964):
+# stage times c_i, lower-triangular rows a_ij and weights b_i.
+RK6_C = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 0.5, 0.5, 1.0)
+RK6_A = (
+    (),
+    (1.0 / 3.0,),
+    (0.0, 2.0 / 3.0),
+    (1.0 / 12.0, 1.0 / 3.0, -1.0 / 12.0),
+    (-1.0 / 16.0, 9.0 / 8.0, -3.0 / 16.0, -3.0 / 8.0),
+    (0.0, 9.0 / 8.0, -3.0 / 8.0, -3.0 / 4.0, 0.5),
+    (9.0 / 44.0, -9.0 / 11.0, 63.0 / 44.0, 18.0 / 11.0, 0.0, -16.0 / 11.0),
+)
+RK6_B = (11.0 / 120.0, 0.0, 27.0 / 40.0, 27.0 / 40.0, -4.0 / 15.0, -4.0 / 15.0, 11.0 / 120.0)
+
+
+def rk6_step(f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
+    """One unprojected step of Butcher's sixth-order RK on the extension f(x/|x|, t).
+
+    The exact flow of the extension keeps |x| fixed, so projecting once at
+    the end of an integration keeps the sixth order.  This is the harness's
+    reference method, deliberately not one of the schemes under test.
+    """
+    ks = []
+    for c, row in zip(RK6_C, RK6_A):
+        y = x
+        for a, k in zip(row, ks):
+            if a:
+                y = vec.axpy(a * h, k, y)
+        ks.append(_ext(f, y, t + c * h))
+    for b, k in zip(RK6_B, ks):
+        if b:
+            x = vec.axpy(b * h, k, x)
+    return x
 
 
 def _tvdrk2(f, x, t, h):

@@ -17,6 +17,10 @@ class StepTooLargeError(SphereRKError, ValueError):
     """A stage arc length h*|f| exceeds the bound that keeps SLERP on the minor arc."""
 
 
+class NonAutonomousFieldError(SphereRKError, ValueError):
+    """A stepper that evaluates every stage at the step's start time got a time-dependent field."""
+
+
 class NonFiniteStateError(SphereRKError, ArithmeticError):
     """A state, velocity or error value is NaN or infinite, so no guard can vouch for it."""
 
@@ -50,4 +54,4 @@ class NonPositiveError(SphereRKError, ValueError):
 
 
 class ReferenceUnavailableError(SphereRKError, RuntimeError):
-    """The fine-step reference integration failed, so errors cannot be measured."""
+    """The reference integration failed, or its error estimate is too large to grade errors with."""

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from . import vec
-from .errors import AntipodalPointsError, ZeroVectorError
+from .errors import AntipodalPointsError, NonFiniteStateError, ZeroVectorError
 from .vec import Vec3
 
 # Below this angle sin(x)/x and the slerp denominator switch to series forms.
@@ -60,10 +60,14 @@ def project(v: Vec3) -> UnitVector3:
     ------
     ZeroVectorError
         If |v| is numerically zero (below 1e-300).
+    NonFiniteStateError
+        If |v| is NaN or infinite.
     """
     n = vec.norm(v)
-    if n < 1e-300:
-        raise ZeroVectorError("cannot project a zero vector onto the sphere")
+    if not (1e-300 <= n < math.inf):
+        if n < 1e-300:
+            raise ZeroVectorError("cannot project a zero vector onto the sphere")
+        raise NonFiniteStateError(f"cannot project a vector of norm {n!r} onto the sphere")
     return UnitVector3(v[0] / n, v[1] / n, v[2] / n)
 
 
@@ -137,9 +141,13 @@ def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:
     AntipodalPointsError
         If the points are antipodal within 1e-8 radians, where the connecting
         geodesic is not unique.
+    NonFiniteStateError
+        If the separation is NaN (a NaN or infinite coordinate).
     """
     omega = geodesic_distance(p, q)
-    if omega > math.pi - 1e-8:
+    if not (omega <= math.pi - 1e-8):
+        if math.isnan(omega):
+            raise NonFiniteStateError("slerp endpoints are not finite")
         raise AntipodalPointsError(f"slerp endpoints are antipodal (separation {omega!r})")
     if omega < SMALL_ANGLE:
         return project(vec.add(vec.scale(p, 1.0 - t), vec.scale(q, t)))

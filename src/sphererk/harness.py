@@ -1,9 +1,9 @@
 """Benchmark harness: convergence tables, stability runs, verification reports.
 
 This module drives the sphere schemes and the Cartesian baselines through the
-model problems, measures endpoint errors against a fine-step third-order
-reference, fits convergence orders on log-log data, and packages everything
-for CSV/JSON emission by the CLI.
+model problems, measures endpoint errors against a sixth-order reference that
+is none of the schemes under test, fits convergence orders on log-log data,
+and packages everything for CSV/JSON emission by the CLI.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import vec
-from .baselines import ON_SPHERE, BaselineId, angle_recurrence, baseline_stepper
+from .baselines import ON_SPHERE, BaselineId, angle_recurrence, baseline_stepper, rk6_step
 from .errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError, SphereRKError
 from .fields import (
     STABILITY_MATRIX,
@@ -108,6 +108,12 @@ def stays_on_sphere(scheme: AnyScheme) -> bool:
     return isinstance(scheme, SchemeId) or scheme in ON_SPHERE
 
 
+def _usable_rows(rows: Sequence[Tuple[float, float]], floor: float, cap: float,
+                 finest: Optional[int]) -> List[Tuple[float, float]]:
+    usable = [(h, err) for h, err in rows if floor < err <= cap]
+    return usable if finest is None else usable[-finest:]
+
+
 def fit_order(rows: Sequence[Tuple[float, float]],
               floor: float = ERROR_FLOOR,
               cap: float = PREASYMPTOTIC_CAP,
@@ -124,9 +130,7 @@ def fit_order(rows: Sequence[Tuple[float, float]],
         raise NonFiniteStateError("error values must be finite")
     if any(err < 0.0 for _, err in rows):
         raise NonPositiveError("error values must be positive")
-    usable = [(h, err) for h, err in rows if floor < err <= cap]
-    if finest is not None:
-        usable = usable[-finest:]
+    usable = _usable_rows(rows, floor, cap, finest)
     if len(usable) < 3:
         raise ValueError(f"need at least 3 usable rows to fit an order, got {len(usable)}")
     logh = np.log([h for h, _ in usable])
@@ -157,25 +161,46 @@ class ConvergenceReport:
     rows: Tuple[ConvergenceRow, ...]
     order_e2: Optional[float]
     order_enorm: Optional[float]
+    reference_error: float
 
 
-_reference_cache: Dict[Tuple, UnitVector3] = {}
+# The reference takes fixed steps of REFERENCE_H and 2 * REFERENCE_H; the
+# distance between the two endpoints is its error estimate.  Estimates at or
+# below REFERENCE_ROUNDOFF are round-off and never fail the grading gate.
+REFERENCE_H = 2.0**-8
+REFERENCE_ROUNDOFF = 1e-13
 
 
-def reference_endpoint(problem: Problem, h_ref: float) -> UnitVector3:
-    """Fine-step third-order endpoint used as the exact solution, cached per
-    field parameters (else raw function), start point, horizon and h_ref."""
+@dataclass(frozen=True)
+class Reference:
+    """Endpoint used as the exact solution, with its estimated error."""
+
+    endpoint: UnitVector3
+    error_estimate: float
+
+
+_reference_cache: Dict[Tuple, Reference] = {}
+
+
+def _rk6_endpoint(problem: Problem, h: float) -> UnitVector3:
+    traj = integrate_steps(rk6_step, problem.f, problem.p0, 0.0, problem.t_final, h)
+    return project(traj[-1][1])
+
+
+def reference_endpoint(problem: Problem) -> Reference:
+    """Sixth-order endpoint of the closest-point extension, projected onto the
+    sphere, with |fine - coarse| over steps REFERENCE_H and 2 * REFERENCE_H as
+    the error estimate.  Cached per field parameters (else raw function),
+    start point and horizon."""
     f = problem.f
-    key = (f.name, f.params or f.raw, problem.p0, problem.t_final, h_ref)
+    key = (f.name, f.params or f.raw, problem.p0, problem.t_final)
     if key not in _reference_cache:
         try:
-            traj = integrate_steps(
-                stepper_for(SchemeId.STVDRK3), problem.f, problem.p0, 0.0,
-                problem.t_final, h_ref,
-            )
+            fine = _rk6_endpoint(problem, REFERENCE_H)
+            coarse = _rk6_endpoint(problem, 2.0 * REFERENCE_H)
         except SphereRKError as exc:
             raise ReferenceUnavailableError(f"reference integration failed: {exc}") from exc
-        _reference_cache[key] = traj[-1][1]
+        _reference_cache[key] = Reference(fine, vec.norm(vec.sub(fine, coarse)))
     return _reference_cache[key]
 
 
@@ -183,26 +208,33 @@ def run_convergence(
     scheme: Union[str, AnyScheme],
     problem: Problem,
     h_list: Sequence[float] = DEFAULT_H_LIST,
-    h_ref: Optional[float] = None,
 ) -> ConvergenceReport:
     """Endpoint errors over a step-size sweep, with fitted orders attached.
 
     ``order_enorm`` is None when every norm error sits at the round-off floor
-    (the projected and SLERP-based schemes, reported as exact).
+    (the projected and SLERP-based schemes, reported as exact).  Raises
+    ReferenceUnavailableError when the reference's error estimate is above
+    round-off and above 1/100 of the smallest E2 error entering the fit.
     """
     scheme = resolve_scheme(scheme)
     step = scheme_stepper(scheme)
     hs = sorted(h_list, reverse=True)
-    if h_ref is None:
-        h_ref = min(hs) / 100.0
-    exact = reference_endpoint(problem, h_ref)
+    ref = reference_endpoint(problem)
     rows = []
     for h in hs:
         endpoint = integrate_steps(step, problem.f, problem.p0, 0.0, problem.t_final, h)[-1][1]
-        e2 = vec.norm(vec.sub(endpoint, exact))
+        e2 = vec.norm(vec.sub(endpoint, ref.endpoint))
         enorm = abs(vec.norm(endpoint) - 1.0)
         rows.append(ConvergenceRow(h, e2, enorm))
-    order_e2 = _fit_asymptotic([(r.h, r.e2) for r in rows])
+    e2_rows = [(r.h, r.e2) for r in rows]
+    order_e2 = _fit_asymptotic(e2_rows)
+    fitted = _usable_rows(e2_rows, ERROR_FLOOR, PREASYMPTOTIC_CAP, ASYMPTOTIC_FIT_POINTS)
+    smallest = min((err for _, err in fitted), default=math.inf)
+    if not (ref.error_estimate <= max(REFERENCE_ROUNDOFF, 0.01 * smallest)):
+        raise ReferenceUnavailableError(
+            f"reference error estimate {ref.error_estimate!r} exceeds 1/100 "
+            f"of the smallest fitted error {smallest!r}"
+        )
     if all(r.enorm <= ERROR_FLOOR for r in rows):
         order_enorm = None
     else:
@@ -213,6 +245,7 @@ def run_convergence(
         rows=tuple(rows),
         order_e2=order_e2,
         order_enorm=order_enorm,
+        reference_error=ref.error_estimate,
     )
 
 
@@ -483,7 +516,11 @@ def write_convergence_csv(path: Union[str, Path], reports: Iterable[ConvergenceR
 
 def orders_payload(reports: Iterable[ConvergenceReport]) -> Dict[str, Dict[str, Optional[float]]]:
     return {
-        rep.scheme: {"order_e2": rep.order_e2, "order_enorm": rep.order_enorm}
+        rep.scheme: {
+            "order_e2": rep.order_e2,
+            "order_enorm": rep.order_enorm,
+            "reference_error": rep.reference_error,
+        }
         for rep in reports
     }
 

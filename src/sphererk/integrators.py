@@ -12,7 +12,9 @@ stage and every output on the unit sphere by construction:
   the Frechet-mean combination), which the benchmark harness documents.
 
 ``ssp_step`` is the generic combinator for any explicit SSP tableau, using
-progressive SLERP for the multi-point convex combinations.  ``frechet_mean``
+progressive SLERP for the multi-point convex combinations.  It and the
+fourth-order candidates evaluate every stage at the step's start time, so
+they raise NonAutonomousFieldError on time-dependent fields.  ``frechet_mean``
 is the intrinsic weighted average used by the alternative combination route.
 
 Scheme coefficients for the fourth-order candidates are embedded verbatim as
@@ -31,6 +33,8 @@ from . import vec
 from .errors import (
     HemisphereViolationError,
     NoConvergenceError,
+    NonAutonomousFieldError,
+    NonFiniteStateError,
     SphereRKError,
     StepTooLargeError,
 )
@@ -62,11 +66,22 @@ class SchemeId(str, Enum):
 def _advance(p: Vec3, v: Vec3, eff_h: float, limit: float) -> UnitVector3:
     """One exp-map substep exp_p(eff_h * v), guarding the stage arc length."""
     arc = abs(eff_h) * vec.norm(v)
-    if arc >= limit:
+    if not (arc < limit):
+        if not math.isfinite(arc):
+            raise NonFiniteStateError(f"stage arc {arc!r} is not finite")
         raise StepTooLargeError(
             f"stage arc {arc!r} exceeds the interpolation bound {limit!r}"
         )
     return exp_raw(p, vec.scale(v, eff_h))
+
+
+def _require_autonomous(f: VelocityField, scheme: str) -> None:
+    """Reject time-dependent fields in steppers that evaluate every stage at t."""
+    if not f.autonomous:
+        raise NonAutonomousFieldError(
+            f"{scheme} evaluates every stage at the step's start time "
+            f"and needs an autonomous field"
+        )
 
 
 def sfe_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
@@ -96,6 +111,7 @@ STVDRK4_Q3_WEIGHTS = (0.0215956, 0.24031065, 0.73809375)
 
 
 def _stvdrk4_stages(f: VelocityField, p: UnitVector3, t: float, h: float):
+    _require_autonomous(f, "stvdrk4")
     fp = f.raw(p, t)
     q1 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
     fq1 = f.raw(q1, t)
@@ -143,6 +159,7 @@ def ssprk54_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
     The printed coefficients are consistent only to ~1e-11, which shows up as
     an error floor near 1e-10 under time-step refinement.
     """
+    _require_autonomous(f, "sssprk54")
     q1 = _advance(p, f.raw(p, t), 0.39175222700392 * h, HALF_PI)
     q21 = _advance(q1, f.raw(q1, t), 0.663050807590193 * h, HALF_PI)
     q2 = slerp(p, q21, 0.55562950593266)
@@ -178,6 +195,7 @@ def ssprk104_step(
     """
     if combine not in ("slerp", "frechet"):
         raise ValueError(f"unknown combination mode {combine!r}")
+    _require_autonomous(f, "sssprk104")
     sixth = h / 6.0
     q = p
     for _ in range(4):
@@ -357,9 +375,11 @@ def ssp_step(
 
     Each forward-Euler building block alpha u + beta h f(u) becomes
     exp_u((beta/alpha) h f(u)); each stage combination becomes a left fold of
-    SLERPs.  Stage times are not part of the tableau, so the velocity field is
-    treated as autonomous (evaluated at the step's start time).
+    SLERPs.  Stage times are not part of the tableau, so every stage is
+    evaluated at the step's start time and time-dependent fields raise
+    NonAutonomousFieldError.
     """
+    _require_autonomous(f, "ssp_step")
     us: List[UnitVector3] = [p]
     for arow, brow in zip(tableau.alpha, tableau.beta):
         pts: List[UnitVector3] = []

@@ -102,7 +102,7 @@ def test_c03_fourth_order_negative_result(fourth_order_reports):
 
 def test_c03_ssprk54_error_floor():
     prob = harness.vortex_problem()
-    ref = harness.reference_endpoint(prob, 2e-5)
+    ref = harness.reference_endpoint(prob).endpoint
     step = stepper_for(SchemeId.SSSPRK54)
     errs = []
     for h in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from sphererk import vec
 from sphererk.baselines import (
     BASELINE_STEPPERS,
     ON_SPHERE,
+    RK6_A,
+    RK6_B,
+    RK6_C,
     BaselineId,
     angle_recurrence,
     baseline_step,
     baseline_stepper,
+    rk6_step,
 )
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
 from sphererk.geometry import UnitVector3, geodesic_distance, project
@@ -152,3 +157,84 @@ def test_angle_recurrence_pfe_leading_terms():
 def test_angle_recurrence_rejects_other_schemes():
     with pytest.raises(ValueError):
         angle_recurrence(BaselineId.RK4, 1.0, 0.1)
+
+
+# Butcher's seven-stage sixth-order tableau in exact arithmetic.
+EXACT_RK6_C = (F(0), F(1, 3), F(2, 3), F(1, 3), F(1, 2), F(1, 2), F(1))
+EXACT_RK6_A = (
+    (),
+    (F(1, 3),),
+    (F(0), F(2, 3)),
+    (F(1, 12), F(1, 3), F(-1, 12)),
+    (F(-1, 16), F(9, 8), F(-3, 16), F(-3, 8)),
+    (F(0), F(9, 8), F(-3, 8), F(-3, 4), F(1, 2)),
+    (F(9, 44), F(-9, 11), F(63, 44), F(18, 11), F(0), F(-16, 11)),
+)
+EXACT_RK6_B = (F(11, 120), F(0), F(27, 40), F(27, 40), F(-4, 15), F(-4, 15), F(11, 120))
+
+
+def test_rk6_float_tableau_rounds_the_exact_one():
+    assert RK6_C == tuple(float(c) for c in EXACT_RK6_C)
+    assert RK6_A == tuple(tuple(float(a) for a in row) for row in EXACT_RK6_A)
+    assert RK6_B == tuple(float(b) for b in EXACT_RK6_B)
+
+
+def test_rk6_row_sums_equal_stage_times():
+    for row, c in zip(EXACT_RK6_A, EXACT_RK6_C):
+        assert sum(row, F(0)) == c
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_rk6_quadrature_conditions(k):
+    assert sum(b * c**k for b, c in zip(EXACT_RK6_B, EXACT_RK6_C)) == F(1, k + 1)
+
+
+def _rooted_trees(n):
+    """Rooted trees with n nodes, each a sorted tuple of its root's subtrees."""
+    if n == 1:
+        return [()]
+    trees = set()
+    for m in range(1, n):
+        for child in _rooted_trees(m):
+            for rest in _rooted_trees(n - m):
+                trees.add(tuple(sorted(rest + (child,))))
+    return sorted(trees)
+
+
+def _density(tree):
+    size, gamma = 1, 1
+    for child in tree:
+        child_size, child_gamma = _density(child)
+        size += child_size
+        gamma *= child_gamma
+    return size, size * gamma
+
+
+def _stage_weights(tree):
+    """Phi_i(tree) = prod over subtrees u of sum_j a_ij Phi_j(u)."""
+    phi = [F(1)] * len(EXACT_RK6_C)
+    for child in tree:
+        sub = _stage_weights(child)
+        phi = [p * sum((a * s for a, s in zip(row, sub)), F(0)) for p, row in zip(phi, EXACT_RK6_A)]
+    return phi
+
+
+def test_rk6_meets_all_37_order_conditions_up_to_six():
+    trees = [t for n in range(1, 7) for t in _rooted_trees(n)]
+    assert len(trees) == 37
+    for tree in trees:
+        _, gamma = _density(tree)
+        weight = sum((b * p for b, p in zip(EXACT_RK6_B, _stage_weights(tree))), F(0))
+        assert weight == F(1, gamma), tree
+
+
+def test_rk6_uses_stage_times():
+    # x' = t e3 is integrated exactly by any method with correct stage times
+    f = VelocityField(lambda p, t: (0.0, 0.0, t), autonomous=False, name="ramp")
+    x = rk6_step(f, (1.0, 0.0, 0.0), 0.5, 0.25)
+    assert x == pytest.approx((1.0, 0.0, 0.5 * (0.75**2 - 0.5**2)), abs=1e-15)
+
+
+def test_rk6_is_no_baseline():
+    assert rk6_step not in BASELINE_STEPPERS.values()
+    assert "rk6" not in {b.value for b in BaselineId}

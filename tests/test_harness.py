@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from sphererk import vec
-from sphererk.errors import NonFiniteStateError, NonPositiveError
+from sphererk import harness, vec
+from sphererk.baselines import rk6_step
+from sphererk.errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError
 from sphererk.fields import VORTEX4_CENTERS, VortexConfig
 from sphererk.geometry import project
-from sphererk.integrators import SchemeId, integrate_steps, stepper_for
+from sphererk.integrators import integrate_steps
 from sphererk.harness import (
+    REFERENCE_H,
     AppendixAReport,
     appendix_a_coefficients,
     fit_order,
@@ -69,10 +72,20 @@ def test_convergence_report_shape():
     assert rep.order_enorm is None  # exact norm at all h
 
 
+# Endpoint of the default vortex4 problem from STVDRK3 at h = 2e-5 (64 000
+# steps), the reference the harness used before the sixth-order one; its own
+# error is ~4e-13.
+STVDRK3_FINE_ENDPOINT = (-0.5922305982738809, 0.36934451521402006, 0.7161337497632319)
+
+
+def _rk6_endpoint(prob, h):
+    return project(integrate_steps(rk6_step, prob.f, prob.p0, 0.0, prob.t_final, h)[-1][1])
+
+
 def test_reference_is_cached():
     prob = vortex_problem()
-    a = reference_endpoint(prob, 1e-3)
-    b = reference_endpoint(prob, 1e-3)
+    a = reference_endpoint(prob)
+    b = reference_endpoint(prob)
     assert a is b
 
 
@@ -81,31 +94,83 @@ def test_reference_cache_is_keyed_by_the_vortex_centres():
     shifted = tuple(project((c * x - s * y, s * x + c * y, z)) for x, y, z in VORTEX4_CENTERS)
     default, moved = vortex_problem(), vortex_problem(VortexConfig(centers=shifted))
     assert moved.p0 == default.p0
-    a = reference_endpoint(default, 1e-3)
-    b = reference_endpoint(moved, 1e-3)
-    direct = integrate_steps(stepper_for(SchemeId.STVDRK3), moved.f, moved.p0, 0.0,
-                             moved.t_final, 1e-3)[-1][1]
-    assert b == direct
-    assert vec.norm(vec.sub(a, b)) > 1e-3
+    a = reference_endpoint(default)
+    b = reference_endpoint(moved)
+    assert b.endpoint == _rk6_endpoint(moved, REFERENCE_H)
+    assert vec.norm(vec.sub(a.endpoint, b.endpoint)) > 1e-3
     # equal configurations still share one cached reference
     again = vortex_problem(VortexConfig(centers=shifted))
-    assert reference_endpoint(again, 1e-3) is b
+    assert reference_endpoint(again) is b
 
 
 def test_reference_stable_under_refinement():
     prob = vortex_problem()
-    coarse = reference_endpoint(prob, H4[-1] / 100.0)
-    fine = reference_endpoint(prob, H4[-1] / 200.0)
-    assert vec.norm(vec.sub(coarse, fine)) <= 1e-10
+    ref = reference_endpoint(prob)
+    coarse = _rk6_endpoint(prob, 2.0 * REFERENCE_H)
+    assert ref.error_estimate == vec.norm(vec.sub(ref.endpoint, coarse))
+    assert ref.error_estimate <= 1e-13
+    # the estimate bounds the reference's distance to a 4x finer run
+    finer = _rk6_endpoint(prob, REFERENCE_H / 4.0)
+    assert vec.norm(vec.sub(ref.endpoint, finer)) <= ref.error_estimate
+
+
+def test_reference_matches_the_fine_stvdrk3_endpoint():
+    ref = reference_endpoint(vortex_problem())
+    assert vec.norm(vec.sub(ref.endpoint, STVDRK3_FINE_ENDPOINT)) <= 1e-12
+
+
+def test_reference_method_is_sixth_order_on_vortex4():
+    prob = vortex_problem()
+    exact = _rk6_endpoint(prob, REFERENCE_H / 4.0)
+    rows = [(h, vec.norm(vec.sub(_rk6_endpoint(prob, h), exact))) for h in H4]
+    assert fit_order(rows) == pytest.approx(6.0, abs=0.3)
 
 
 def test_rotation_problem_reference_matches_closed_form():
     prob = rotation_problem()
-    ref = reference_endpoint(prob, 1e-3)
+    ref = reference_endpoint(prob)
     from sphererk.fields import rotate_about
 
     exact = rotate_about((1.0, 0.0, 0.0), prob.p0, prob.t_final)
-    assert vec.norm(vec.sub(ref, exact)) < 1e-11
+    assert vec.norm(vec.sub(ref.endpoint, exact)) < 1e-14
+
+
+def _forge_reference_error(monkeypatch, prob, estimate):
+    monkeypatch.setattr(harness, "_reference_cache", {})
+    ref = reference_endpoint(prob)
+    (key,) = harness._reference_cache
+    harness._reference_cache[key] = dataclasses.replace(ref, error_estimate=estimate)
+
+
+def test_reports_carry_the_reference_error():
+    prob = vortex_problem()
+    rep = run_convergence("stvdrk3", prob, H4)
+    assert rep.reference_error == reference_endpoint(prob).error_estimate
+    payload = harness.orders_payload([rep])
+    assert payload["stvdrk3"]["reference_error"] == rep.reference_error
+
+
+def test_reference_error_above_a_hundredth_of_the_graded_errors_raises(monkeypatch):
+    prob = vortex_problem()
+    # the finest stvdrk3 error over H4 is 2.6e-6, so 1e-7 is too coarse a reference
+    _forge_reference_error(monkeypatch, prob, 1e-7)
+    with pytest.raises(ReferenceUnavailableError):
+        run_convergence("stvdrk3", prob, H4)
+    _forge_reference_error(monkeypatch, prob, 1e-10)
+    assert run_convergence("stvdrk3", prob, H4).reference_error == 1e-10
+
+
+def test_reference_error_at_round_off_grades_round_off_errors(monkeypatch):
+    # stvdrk3 is exact on the rotation problem; its finest errors are
+    # round-off of 1e-14..5e-14, just above the fit floor
+    prob = rotation_problem()
+    _forge_reference_error(monkeypatch, prob, harness.REFERENCE_ROUNDOFF)
+    rep = run_convergence("stvdrk3", prob)
+    assert rep.order_e2 is not None
+    assert rep.reference_error == harness.REFERENCE_ROUNDOFF
+    _forge_reference_error(monkeypatch, prob, 2.0 * harness.REFERENCE_ROUNDOFF)
+    with pytest.raises(ReferenceUnavailableError):
+        run_convergence("stvdrk3", prob)
 
 
 def test_report_csv_and_json_are_deterministic(tmp_path):
@@ -205,11 +270,10 @@ def test_resolve_unknown_scheme():
 
 
 def test_reference_failure_is_wrapped():
-    from sphererk.errors import ReferenceUnavailableError
-    from sphererk.fields import VORTEX4_CENTERS, vortex4_field
+    from sphererk.fields import vortex4_field
     from sphererk.harness import Problem
 
     # starting at a vortex center makes the very first field evaluation blow up
     bad = Problem("singular", vortex4_field(), VORTEX4_CENTERS[0], 1.0)
     with pytest.raises(ReferenceUnavailableError):
-        reference_endpoint(bad, 0.1)
+        reference_endpoint(bad)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from sphererk import vec
+from sphererk.baselines import BASELINE_STEPPERS, BaselineId
 from sphererk.errors import (
     HemisphereViolationError,
     NoConvergenceError,
+    NonAutonomousFieldError,
+    NonFiniteStateError,
+    SphereRKError,
     StepTooLargeError,
 )
 from sphererk.fields import VelocityField, rigid_rotation_field, rotate_about, vortex4_field
@@ -33,6 +37,7 @@ from sphererk.integrators import (
     stvdrk2_step,
     stvdrk3_step,
     stvdrk4_q3_variants,
+    stvdrk4_step,
 )
 
 ZERO_FIELD = VelocityField(lambda p, t: (0.0, 0.0, 0.0), name="zero")
@@ -358,3 +363,60 @@ def test_endpoint_matches_fine_reference():
 
 def test_steppers_registry_is_complete():
     assert set(STEPPERS) == set(SchemeId)
+
+
+NAN_FIELD = VelocityField(lambda p, t: (math.nan, math.nan, math.nan), name="nan")
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId) + list(BaselineId), ids=lambda s: s.value)
+def test_nan_field_raises_for_every_scheme(scheme):
+    step = STEPPERS[scheme] if isinstance(scheme, SchemeId) else BASELINE_STEPPERS[scheme]
+    with pytest.raises(SphereRKError):
+        integrate_steps(step, NAN_FIELD, P0, 0.0, 0.2, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scalar_guards_raise_non_finite_state(bad):
+    with pytest.raises(NonFiniteStateError):
+        sfe_step(VelocityField(lambda p, t: (0.0, bad, 0.0)), P0, 0.0, 0.1)
+    with pytest.raises(NonFiniteStateError):
+        slerp(P0, (bad, 0.0, 0.0), 0.5)
+    with pytest.raises(NonFiniteStateError):
+        project((0.0, bad, 1.0))
+
+
+# rotation about e3 at rate 1 + t: a time-dependent field
+SPUN_UP = VelocityField(lambda p, t: vec.cross((0.0, 0.0, 1.0 + t), p),
+                        autonomous=False, name="spun-up")
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda f, p, t, h: ssp_step(TVDRK3_TABLEAU, f, p, t, h),
+        stvdrk4_step,
+        stvdrk4_q3_variants,
+        ssprk54_step,
+        ssprk104_step,
+        lambda f, p, t, h: ssprk104_step(f, p, t, h, combine="frechet"),
+    ],
+    ids=["ssp_step", "stvdrk4", "stvdrk4_q3_variants", "sssprk54", "sssprk104",
+         "sssprk104-frechet"],
+)
+def test_start_time_steppers_reject_non_autonomous_fields(step):
+    import sphererk
+
+    assert sphererk.NonAutonomousFieldError is NonAutonomousFieldError
+    with pytest.raises(NonAutonomousFieldError):
+        step(SPUN_UP, P0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [sfe_step, stvdrk2_step, stvdrk3_step] + list(BASELINE_STEPPERS.values()),
+)
+def test_stage_time_steppers_accept_non_autonomous_fields(step):
+    # the exact flow turns P0 about e3 by t + t^2/2
+    end = integrate_steps(step, SPUN_UP, P0, 0.0, 0.5, 0.01)[-1][1]
+    angle = 0.5 + 0.5**2 / 2.0
+    assert vec.norm(vec.sub(project(end), (math.cos(angle), math.sin(angle), 0.0))) < 0.02
