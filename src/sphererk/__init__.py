@@ -1,6 +1,6 @@
 """Sphere-constrained explicit Runge-Kutta integrators and benchmark harness."""
 
-from .baselines import BaselineId, angle_recurrence, baseline_step, baseline_stepper
+from .baselines import BaselineId, angle_recurrence, baseline_stepper
 from .errors import (
     AntipodalPointsError,
     DegenerateFrontError,
@@ -42,18 +42,17 @@ from .geometry import (
 )
 from .integrators import (
     SchemeId,
-    SspTableau,
     frechet_mean,
-    integrate,
     integrate_steps,
     progressive_slerp_combine,
     sfe_step,
-    ssp_step,
     ssprk54_step,
     ssprk104_step,
+    stepper_for,
     stvdrk2_step,
     stvdrk3_step,
     stvdrk4_step,
+    tvdrk_step,
 )
 from .quaternion import (
     Quaternion,

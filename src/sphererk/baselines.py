@@ -3,7 +3,9 @@
 These are the comparison schemes: Cartesian steppers that either ignore the
 sphere constraint (FE, RK2-4, TVDRK2-3), radially project the final stage
 (PFE, PRK2-4, PTVDRK2, PTVDRK3), or project every intermediate stage (the
-primed internal-projection variants PTVDRK2', PTVDRK3').
+primed internal-projection variants PTVDRK2', PTVDRK3').  The TVDRK family
+runs ``integrators.tvdrk_step`` with forward Euler and linear interpolation,
+projected after every substep and combination in the primed variants.
 
 The velocity field is always evaluated through the closest-point extension
 f(x, t) = f(x/|x|, t), so stage values slightly off the sphere remain legal
@@ -23,6 +25,7 @@ from typing import Callable, Dict
 from . import vec
 from .fields import VelocityField
 from .geometry import project
+from .integrators import tvdrk_step
 from .vec import Vec3
 
 BaselineStepper = Callable[[VelocityField, Vec3, float, float], Vec3]
@@ -51,7 +54,22 @@ def _ext(f: VelocityField, x: Vec3, t: float) -> Vec3:
 
 
 def _fe(f, x, t, h):
+    """Forward Euler, also the Cartesian substep of the TVDRK baselines."""
     return vec.axpy(h, _ext(f, x, t), x)
+
+
+def _pfe(f, x, t, h):
+    """Projected forward Euler, also the substep of the primed variants."""
+    return project(_fe(f, x, t, h))
+
+
+def _lerp(a, b, w):
+    """(1 - w) a + w b."""
+    return vec.axpy(w, b, vec.scale(a, 1.0 - w))
+
+
+def _plerp(a, b, w):
+    return project(_lerp(a, b, w))
 
 
 def _rk2(f, x, t, h):
@@ -119,21 +137,11 @@ def rk6_step(f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
 
 
 def _tvdrk2(f, x, t, h):
-    q1 = vec.axpy(h, _ext(f, x, t), x)
-    q2 = vec.axpy(h, _ext(f, q1, t + h), q1)
-    return vec.scale(vec.add(x, q2), 0.5)
+    return tvdrk_step(2, _fe, _lerp, f, x, t, h)
 
 
 def _tvdrk3(f, x, t, h):
-    q1 = vec.axpy(h, _ext(f, x, t), x)
-    q2 = vec.axpy(h, _ext(f, q1, t + h), q1)
-    q3 = vec.scale(vec.axpy(3.0, x, q2), 0.25)
-    q4 = vec.axpy(h, _ext(f, q3, t + 0.5 * h), q3)
-    return vec.scale(vec.axpy(2.0, q4, x), 1.0 / 3.0)
-
-
-def _pfe(f, x, t, h):
-    return project(_fe(f, x, t, h))
+    return tvdrk_step(3, _fe, _lerp, f, x, t, h)
 
 
 def _prk2(f, x, t, h):
@@ -153,9 +161,7 @@ def _ptvdrk2(f, x, t, h):
 
 
 def _ptvdrk2p(f, x, t, h):
-    q1 = project(vec.axpy(h, _ext(f, x, t), x))
-    q2 = project(vec.axpy(h, _ext(f, q1, t + h), q1))
-    return project(vec.scale(vec.add(x, q2), 0.5))
+    return tvdrk_step(2, _pfe, _plerp, f, x, t, h)
 
 
 def _ptvdrk3(f, x, t, h):
@@ -163,11 +169,7 @@ def _ptvdrk3(f, x, t, h):
 
 
 def _ptvdrk3p(f, x, t, h):
-    q1 = project(vec.axpy(h, _ext(f, x, t), x))
-    q2 = project(vec.axpy(h, _ext(f, q1, t + h), q1))
-    q3 = project(vec.scale(vec.axpy(3.0, x, q2), 0.25))
-    q4 = project(vec.axpy(h, _ext(f, q3, t + 0.5 * h), q3))
-    return project(vec.scale(vec.axpy(2.0, q4, x), 1.0 / 3.0))
+    return tvdrk_step(3, _pfe, _plerp, f, x, t, h)
 
 
 BASELINE_STEPPERS: Dict[BaselineId, BaselineStepper] = {
@@ -204,13 +206,6 @@ ON_SPHERE = frozenset(
 
 def baseline_stepper(scheme: BaselineId) -> BaselineStepper:
     return BASELINE_STEPPERS[BaselineId(scheme)]
-
-
-def baseline_step(
-    scheme: BaselineId, f: VelocityField, x: Vec3, t: float, h: float
-) -> Vec3:
-    """One step of the requested Table-of-baselines scheme."""
-    return baseline_stepper(scheme)(f, x, t, h)
 
 
 def angle_recurrence(scheme: BaselineId, theta: float, h: float) -> float:

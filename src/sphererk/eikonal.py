@@ -10,8 +10,9 @@ H(x, k) = (v(x)^2 [|k|^2 - (k . x/|x|)^2] - 1) / 2 form the coupled system
 with x on the sphere, k the ray direction grad(u) in R^3, and u the travel
 time (phase).  Positions are stepped with the sphere-intrinsic schemes of the
 matching order while k is stepped with the corresponding Cartesian TVDRK
-stages in lock step; projected and unprojected Cartesian variants of the
-x-update are provided for comparison runs.
+stages in lock step: ``integrators.tvdrk_step`` runs on the pair (x, k).
+Projected and unprojected Cartesian variants of the x-update are provided
+for comparison runs.
 
 All rays march together as (n, 3) arrays; rays are independent.
 """
@@ -21,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,8 +31,8 @@ from .batch import (
     check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows, snapshot_steps,
 )
 from .errors import DegenerateFrontError
-from .geometry import TangentVector, UnitVector3
-from .vec import Vec3
+from .geometry import UnitVector3
+from .integrators import tvdrk_step
 
 HALF_PI = 0.5 * math.pi
 
@@ -122,12 +124,6 @@ MODELS = {
 }
 
 
-class RayState(NamedTuple):
-    x: UnitVector3
-    k: Vec3
-    u: float
-
-
 @dataclass(frozen=True)
 class Wavefront:
     """Snapshot of all rays at a common phase value."""
@@ -157,76 +153,63 @@ def hamiltonian(model: VelocityModel, x: np.ndarray, k: np.ndarray) -> np.ndarra
     return 0.5 * (v * v * (row_dot(k, k) - kn * kn) - 1.0)
 
 
-def ray_rhs(model: VelocityModel, state: RayState):
-    """Scalar form of the ray system: (dx as a TangentVector, dk, du = 1)."""
-    x = np.asarray(state.x, dtype=float)[None, :]
-    k = np.asarray(state.k, dtype=float)[None, :]
+def _exp_pair(model: VelocityModel, y, s: float, h: float, limit: float = HALF_PI):
+    """Substep of the pair (x, k): exp map for x, forward Euler for k."""
+    x, k = y
     f1, f2 = _rhs(model, x, k)
-    dx = TangentVector(state.x, tuple(f1[0]))
-    return dx, tuple(f2[0]), 1.0
+    check_arc(h, f1, limit, "ray")
+    # the right-hand sides are fresh arrays: update them in place
+    f1 *= h
+    f2 *= h
+    f2 += k
+    return exp_rows(x, f1), f2
+
+
+def _axpy_pair(model: VelocityModel, y, s: float, h: float):
+    """Forward-Euler substep of the pair (x, k)."""
+    x, k = y
+    f1, f2 = _rhs(model, x, k)
+    f1 *= h
+    f1 += x
+    f2 *= h
+    f2 += k
+    return f1, f2
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
+    return (1.0 - w) * a + w * b
+
+
+def _slerp_pair(a, b, w: float):
+    return slerp_rows(a[0], b[0], w), _lerp(a[1], b[1], w)
+
+
+def _lerp_pair(a, b, w: float):
+    return _lerp(a[0], b[0], w), _lerp(a[1], b[1], w)
+
+
+# Coupled scheme -> (TVDRK order, substep, combination, normalize x at the end).
+# Spherical forward Euler needs no SLERP, so its stage arc may reach pi.
+_COUPLED = {
+    "sfe": (1, partial(_exp_pair, limit=math.pi), None, False),
+    "pfe": (1, _axpy_pair, None, True),
+    "stvdrk2": (2, _exp_pair, _slerp_pair, False),
+    "tvdrk2": (2, _axpy_pair, _lerp_pair, False),
+    "ptvdrk2": (2, _axpy_pair, _lerp_pair, True),
+    "stvdrk3": (3, _exp_pair, _slerp_pair, False),
+    "tvdrk3": (3, _axpy_pair, _lerp_pair, False),
+    "ptvdrk3": (3, _axpy_pair, _lerp_pair, True),
+}
 
 
 def _step_rows(scheme: str, model: VelocityModel, x: np.ndarray, k: np.ndarray, h: float):
     """Advance all rays by one step of the requested coupled scheme."""
-    if scheme == "sfe":
-        f1, f2 = _rhs(model, x, k)
-        check_arc(h, f1, math.pi, "ray")
-        return exp_rows(x, h * f1), k + h * f2
-    if scheme == "pfe":
-        f1, f2 = _rhs(model, x, k)
-        return normalize_rows(x + h * f1), k + h * f2
-
-    def advance(q: np.ndarray, f: np.ndarray) -> np.ndarray:
-        if scheme not in ("stvdrk2", "stvdrk3"):
-            return q + h * f
-        check_arc(h, f, HALF_PI, "ray")
-        return exp_rows(q, h * f)
-
-    f1, f2 = _rhs(model, x, k)
-    q1 = advance(x, f1)
-    s1 = k + h * f2
-
-    g1, g2 = _rhs(model, q1, s1)
-    q2 = advance(q1, g1)
-    s2 = s1 + h * g2
-
-    if scheme == "stvdrk2":
-        return slerp_rows(x, q2, 0.5), 0.5 * (k + s2)
-    if scheme == "tvdrk2":
-        return 0.5 * (x + q2), 0.5 * (k + s2)
-    if scheme == "ptvdrk2":
-        return normalize_rows(0.5 * (x + q2)), 0.5 * (k + s2)
-
-    if scheme == "stvdrk3":
-        q3 = slerp_rows(x, q2, 0.25)
-    else:
-        q3 = 0.25 * (3.0 * x + q2)
-    s3 = 0.75 * k + 0.25 * s2
-
-    h1, h2 = _rhs(model, q3, s3)
-    q4 = advance(q3, h1)
-    s4 = s3 + h * h2
-
-    knext = (k + 2.0 * s4) / 3.0
-    if scheme == "stvdrk3":
-        return slerp_rows(x, q4, 2.0 / 3.0), knext
-    if scheme == "tvdrk3":
-        return (x + 2.0 * q4) / 3.0, knext
-    if scheme == "ptvdrk3":
-        return normalize_rows((x + 2.0 * q4) / 3.0), knext
-    raise ValueError(f"unknown coupled scheme {scheme!r}")
+    order, euler, combine, normalize = _COUPLED[scheme]
+    x, k = tvdrk_step(order, euler, combine, model, (x, k), 0.0, h)
+    return (normalize_rows(x) if normalize else x), k
 
 
-COUPLED_SCHEMES = (
-    "sfe",
-    "pfe",
-    "stvdrk2",
-    "tvdrk2",
-    "ptvdrk2",
-    "stvdrk3",
-    "tvdrk3",
-    "ptvdrk3",
-)
+COUPLED_SCHEMES = tuple(_COUPLED)
 
 _ORDER_TO_SCHEME = {1: "sfe", 2: "stvdrk2", 3: "stvdrk3"}
 
@@ -234,15 +217,6 @@ _ORDER_TO_SCHEME = {1: "sfe", 2: "stvdrk2", 3: "stvdrk3"}
 def scheme_for_order(order: int) -> str:
     """Sphere-intrinsic coupled scheme of the given order."""
     return _ORDER_TO_SCHEME[order]
-
-
-def coupled_step(order: int, model: VelocityModel, state: RayState, h: float) -> RayState:
-    """One sphere-intrinsic coupled step of the requested order for one ray."""
-    scheme = _ORDER_TO_SCHEME[order]
-    x = np.asarray(state.x, dtype=float)[None, :]
-    k = np.asarray(state.k, dtype=float)[None, :]
-    xn, kn = _step_rows(scheme, model, x, k, h)
-    return RayState(UnitVector3(*xn[0]), tuple(kn[0]), state.u + h)
 
 
 def initial_rays(model: VelocityModel, xs: UnitVector3, n_rays: int):
@@ -325,11 +299,14 @@ def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -
 
 
 def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) -> None:
-    lines = ["t,ray_index,x,y,z,kx,ky,kz,u"]
-    for front in fronts:
-        t = float(front.t)
-        # .tolist() yields Python floats, whose repr is the shortest round trip
-        rows = zip(front.x.tolist(), front.k.tolist(), front.u.tolist())
-        for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows):
-            lines.append(f"{t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write every front's rows, streamed one front at a time."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("t,ray_index,x,y,z,kx,ky,kz,u\n")
+        for front in fronts:
+            t = float(front.t)
+            # .tolist() yields Python floats, whose repr is the shortest round trip
+            rows = zip(front.x.tolist(), front.k.tolist(), front.u.tolist())
+            out.writelines(
+                f"{t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}\n"
+                for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows)
+            )

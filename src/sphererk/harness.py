@@ -38,7 +38,9 @@ AnyScheme = Union[SchemeId, BaselineId]
 
 DEFAULT_H_LIST: Tuple[float, ...] = tuple(0.1 * 2.0**-k for k in range(6))
 
-ERROR_FLOOR = 1e-14
+# Errors at or below REFERENCE_ROUNDOFF are round-off: they are left out of
+# order fits and, as the reference's error estimate, never fail the gate.
+REFERENCE_ROUNDOFF = 1e-13
 PREASYMPTOTIC_CAP = 0.1
 # Reports fit the asymptotic range only (the finest rows), as the reference
 # log-log plots do; four points keep the fit meaningful.
@@ -115,7 +117,7 @@ def _usable_rows(rows: Sequence[Tuple[float, float]], floor: float, cap: float,
 
 
 def fit_order(rows: Sequence[Tuple[float, float]],
-              floor: float = ERROR_FLOOR,
+              floor: float = REFERENCE_ROUNDOFF,
               cap: float = PREASYMPTOTIC_CAP,
               finest: Optional[int] = None) -> float:
     """Least-squares slope of log(err) against log(h).
@@ -165,10 +167,8 @@ class ConvergenceReport:
 
 
 # The reference takes fixed steps of REFERENCE_H and 2 * REFERENCE_H; the
-# distance between the two endpoints is its error estimate.  Estimates at or
-# below REFERENCE_ROUNDOFF are round-off and never fail the grading gate.
+# distance between the two endpoints is its error estimate.
 REFERENCE_H = 2.0**-8
-REFERENCE_ROUNDOFF = 1e-13
 
 
 @dataclass(frozen=True)
@@ -228,14 +228,14 @@ def run_convergence(
         rows.append(ConvergenceRow(h, e2, enorm))
     e2_rows = [(r.h, r.e2) for r in rows]
     order_e2 = _fit_asymptotic(e2_rows)
-    fitted = _usable_rows(e2_rows, ERROR_FLOOR, PREASYMPTOTIC_CAP, ASYMPTOTIC_FIT_POINTS)
-    smallest = min((err for _, err in fitted), default=math.inf)
+    fitted = _usable_rows(e2_rows, REFERENCE_ROUNDOFF, PREASYMPTOTIC_CAP, ASYMPTOTIC_FIT_POINTS)
+    smallest = min((err for _, err in fitted), default=0.0)
     if not (ref.error_estimate <= max(REFERENCE_ROUNDOFF, 0.01 * smallest)):
         raise ReferenceUnavailableError(
             f"reference error estimate {ref.error_estimate!r} exceeds 1/100 "
             f"of the smallest fitted error {smallest!r}"
         )
-    if all(r.enorm <= ERROR_FLOOR for r in rows):
+    if all(r.enorm <= REFERENCE_ROUNDOFF for r in rows):
         order_enorm = None
     else:
         order_enorm = _fit_asymptotic([(r.h, r.enorm) for r in rows])

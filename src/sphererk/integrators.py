@@ -11,11 +11,13 @@ stage and every output on the unit sphere by construction:
   candidates; their observed convergence tops out at third order (second with
   the Frechet-mean combination), which the benchmark harness documents.
 
-``ssp_step`` is the generic combinator for any explicit SSP tableau, using
-progressive SLERP for the multi-point convex combinations.  It and the
+``tvdrk_step`` holds the Shu-Osher stage structure of TVDRK1-3 once; the
+sphere steppers here, the Cartesian baselines and the eikonal and p-harmonic
+row steppers run it with their own substep and combination.  The
 fourth-order candidates evaluate every stage at the step's start time, so
-they raise NonAutonomousFieldError on time-dependent fields.  ``frechet_mean``
-is the intrinsic weighted average used by the alternative combination route.
+they raise NonAutonomousFieldError on time-dependent fields.
+``frechet_mean`` is the intrinsic weighted average used by the alternative
+combination route.
 
 Scheme coefficients for the fourth-order candidates are embedded verbatim as
 15-digit decimals; their rounding is the source of the ~1e-10 accuracy floor
@@ -25,9 +27,8 @@ the harness measures for the five-stage scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from . import vec
 from .errors import (
@@ -84,25 +85,49 @@ def _require_autonomous(f: VelocityField, scheme: str) -> None:
         )
 
 
+def tvdrk_step(order: int, euler, combine, f, x, t: float, h: float):
+    """One step of TVDRK``order`` (1-3) in Shu-Osher form, over any space.
+
+    ``euler(f, y, s, h)`` is the space's forward-Euler substep from y with the
+    field evaluated at time s; ``combine(a, b, w)`` is its (1 - w) a + w b.
+    The stages sit at t, t + h and t + h/2:
+
+        y1 = E(x, t)                              (TVDRK1 ends here)
+        y2 = E(y1, t + h)                         TVDRK2: x + 1/2 (y2 - x)
+        y3 = E(x + 1/4 (y2 - x), t + h/2)         TVDRK3: x + 2/3 (y3 - x)
+
+    Every stage stays bound until the step returns: on (n, 3) rows, freeing
+    stages mid-step made the allocator hand pages back and fault them in again.
+    """
+    y1 = euler(f, x, t, h)
+    if order == 1:
+        return y1
+    y2 = euler(f, y1, t + h, h)
+    if order == 2:
+        return combine(x, y2, 0.5)
+    c = combine(x, y2, 0.25)
+    y3 = euler(f, c, t + 0.5 * h, h)
+    return combine(x, y3, 2.0 / 3.0)
+
+
+def _exp_euler(f: VelocityField, p: UnitVector3, s: float, h: float) -> UnitVector3:
+    """Exp-map substep of a multi-stage scheme; stage arcs stay below pi/2."""
+    return _advance(p, f.raw(p, s), h, HALF_PI)
+
+
 def sfe_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """Spherical forward Euler: exp_p(h f(p, t)).  Requires h |f| < pi."""
+    """Spherical forward Euler exp_p(h f(p, t)), the TVDRK1 substep.  Requires h |f| < pi."""
     return _advance(p, f.raw(p, t), h, math.pi)
 
 
 def stvdrk2_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
     """Two exp-map stages and the SLERP midpoint.  Requires h |f| < pi/2 per stage."""
-    q1 = _advance(p, f.raw(p, t), h, HALF_PI)
-    q2 = _advance(q1, f.raw(q1, t + h), h, HALF_PI)
-    return slerp(p, q2, 0.5)
+    return tvdrk_step(2, _exp_euler, slerp, f, p, t, h)
 
 
 def stvdrk3_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
     """Third-order stepper: stages at t, t+h, t+h/2 with SLERP weights 1/4 and 2/3."""
-    q1 = _advance(p, f.raw(p, t), h, HALF_PI)
-    q2 = _advance(q1, f.raw(q1, t + h), h, HALF_PI)
-    q3 = slerp(p, q2, 0.25)
-    q4 = _advance(q3, f.raw(q3, t + 0.5 * h), h, HALF_PI)
-    return slerp(p, q4, 2.0 / 3.0)
+    return tvdrk_step(3, _exp_euler, slerp, f, p, t, h)
 
 
 # Weights of the three-point combination that forms the third combined stage
@@ -304,104 +329,6 @@ def frechet_mean(
     raise NoConvergenceError(f"Frechet mean did not converge in {max_iter} iterations")
 
 
-@dataclass(frozen=True)
-class SspTableau:
-    """Lower-triangular (alpha, beta) coefficients of an explicit SSP method.
-
-    Row i (1-based stage) holds entries for k = 0..i-1.  Requires alpha >= 0,
-    alpha_ik = 0 implying beta_ik = 0, and unit row sums of alpha.
-    """
-
-    alpha: Tuple[Tuple[float, ...], ...]
-    beta: Tuple[Tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.alpha) != len(self.beta):
-            raise ValueError("alpha and beta must have the same number of rows")
-        for i, (arow, brow) in enumerate(zip(self.alpha, self.beta), start=1):
-            if len(arow) != i or len(brow) != i:
-                raise ValueError(f"row {i} must have exactly {i} entries")
-            if any(a < 0.0 for a in arow):
-                raise ValueError("alpha coefficients must be nonnegative")
-            if any(a == 0.0 and b != 0.0 for a, b in zip(arow, brow)):
-                raise ValueError("alpha_ik = 0 requires beta_ik = 0")
-            if abs(sum(arow) - 1.0) > 1e-12:
-                raise ValueError(f"alpha row {i} must sum to 1")
-
-    @property
-    def stages(self) -> int:
-        return len(self.alpha)
-
-
-TVDRK2_TABLEAU = SspTableau(
-    alpha=((1.0,), (0.5, 0.5)),
-    beta=((1.0,), (0.0, 0.5)),
-)
-
-TVDRK3_TABLEAU = SspTableau(
-    alpha=((1.0,), (0.75, 0.25), (1.0 / 3.0, 0.0, 2.0 / 3.0)),
-    beta=((1.0,), (0.0, 0.25), (0.0, 0.0, 2.0 / 3.0)),
-)
-
-
-def _ssprk104_tableau() -> SspTableau:
-    alpha: List[Tuple[float, ...]] = []
-    beta: List[Tuple[float, ...]] = []
-    for i in range(1, 11):
-        arow = [0.0] * i
-        brow = [0.0] * i
-        if i == 5:
-            arow[0], arow[4] = 0.6, 0.4
-            brow[4] = 0.4 / 6.0
-        elif i == 10:
-            arow[0], arow[4], arow[9] = 0.04, 0.36, 0.6
-            brow[4] = 0.36 / 6.0
-            brow[9] = 0.1
-        else:
-            arow[i - 1] = 1.0
-            brow[i - 1] = 1.0 / 6.0
-        alpha.append(tuple(arow))
-        beta.append(tuple(brow))
-    return SspTableau(tuple(alpha), tuple(beta))
-
-
-SSPRK104_TABLEAU = _ssprk104_tableau()
-
-
-def ssp_step(
-    tableau: SspTableau, f: VelocityField, p: UnitVector3, t: float, h: float
-) -> UnitVector3:
-    """Generic exp-map/progressive-SLERP step for an explicit SSP tableau.
-
-    Each forward-Euler building block alpha u + beta h f(u) becomes
-    exp_u((beta/alpha) h f(u)); each stage combination becomes a left fold of
-    SLERPs.  Stage times are not part of the tableau, so every stage is
-    evaluated at the step's start time and time-dependent fields raise
-    NonAutonomousFieldError.
-    """
-    _require_autonomous(f, "ssp_step")
-    us: List[UnitVector3] = [p]
-    for arow, brow in zip(tableau.alpha, tableau.beta):
-        pts: List[UnitVector3] = []
-        ws: List[float] = []
-        for k, (a, b) in enumerate(zip(arow, brow)):
-            if a == 0.0:
-                continue
-            base = us[k]
-            if b == 0.0:
-                pts.append(base)
-            else:
-                pts.append(_advance(base, f.raw(base, t), (b / a) * h, HALF_PI))
-            ws.append(a)
-        acc_w = ws[0]
-        acc = pts[0]
-        for w, pt in zip(ws[1:], pts[1:]):
-            acc_w += w
-            acc = slerp(acc, pt, w / acc_w)
-        us.append(acc)
-    return us[-1]
-
-
 STEPPERS: dict[SchemeId, Stepper] = {
     SchemeId.SFE: sfe_step,
     SchemeId.STVDRK2: stvdrk2_step,
@@ -452,15 +379,3 @@ def integrate_steps(step, f, x0, t0: float, t_final: float, h: float):
         traj.append((t, x))
     return traj
 
-
-def integrate(
-    scheme: SchemeId | Stepper,
-    f: VelocityField,
-    p0: UnitVector3,
-    t0: float,
-    t_final: float,
-    h: float,
-) -> List[Tuple[float, UnitVector3]]:
-    """Trajectory of a sphere scheme on the uniform grid (see integrate_steps)."""
-    step = stepper_for(scheme) if isinstance(scheme, (SchemeId, str)) else scheme
-    return integrate_steps(step, f, p0, t0, t_final, h)

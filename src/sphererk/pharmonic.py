@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .batch import check_arc, exp_rows, row_angle, row_dot, row_norm, slerp_rows, snapshot_steps
+from .integrators import tvdrk_step
 
 HALF_PI = 0.5 * math.pi
 
@@ -112,11 +113,6 @@ def _velocity(m: np.ndarray, ds: float, p: float, eps_reg: float) -> np.ndarray:
     return lap - row_dot(m, lap)[:, None] * m
 
 
-def p_laplacian(curve: DirectorCurve, p: float, eps_reg: float = 1e-6) -> np.ndarray:
-    """Flux-form discrete p-Laplacian D_-(w_{j+1/2} D_+ m_j)."""
-    return _lap_rows(curve.m, curve.ds, p, eps_reg)
-
-
 def pflow_rhs(curve: DirectorCurve, p: float, eps_reg: float = 1e-6) -> np.ndarray:
     """Tangential flow velocity m x (Delta_p m x m) at every node.
 
@@ -125,6 +121,14 @@ def pflow_rhs(curve: DirectorCurve, p: float, eps_reg: float = 1e-6) -> np.ndarr
     discrete p-energy decreases (the gradient-descent direction of the flow).
     """
     return _velocity(curve.m, curve.ds, p, eps_reg)
+
+
+def _exp_euler(flow: Tuple[float, float, float], q: np.ndarray, s: float, h: float) -> np.ndarray:
+    """Exp-map substep of every node; ``flow`` is (ds, p, eps_reg)."""
+    v = _velocity(q, *flow)
+    check_arc(h, v, HALF_PI, "node")
+    v *= h
+    return exp_rows(q, v)
 
 
 def p_energy(curve: DirectorCurve, p: float) -> float:
@@ -170,24 +174,13 @@ def pflow_evolve(
         raise ValueError("order must be 2 or 3")
     dt = params.dt
     n_steps, want = snapshot_steps(dt, params.t_final, snapshot_times)
-    ds = curve0.ds
-
-    def advance(q: np.ndarray) -> np.ndarray:
-        v = _velocity(q, ds, params.p, params.eps_reg)
-        check_arc(dt, v, HALF_PI, "node")
-        return exp_rows(q, dt * v)
-
+    flow = (curve0.ds, params.p, params.eps_reg)
     m = curve0.m.copy()
     out: List[Tuple[float, DirectorCurve]] = []
     if 0 in want:
         out.append((0.0, DirectorCurve(m.copy())))
     for i in range(1, n_steps + 1):
-        q2 = advance(advance(m))
-        if order == 2:
-            m = slerp_rows(m, q2, 0.5)
-        else:
-            q4 = advance(slerp_rows(m, q2, 0.25))
-            m = slerp_rows(m, q4, 2.0 / 3.0)
+        m = tvdrk_step(order, _exp_euler, slerp_rows, flow, m, 0.0, dt)
         if i in want:
             out.append((i * dt, DirectorCurve(m.copy())))
     return out

@@ -13,10 +13,10 @@ import pytest
 
 from conftest import seeded_unit_vectors
 from sphererk import eikonal, harness, pharmonic, vec
-from sphererk.baselines import BaselineId, baseline_step
+from sphererk.baselines import BaselineId, baseline_stepper
 from sphererk.fields import rigid_rotation_field, rotate_about
 from sphererk.geometry import UnitVector3, geodesic_distance, slerp
-from sphererk.integrators import SchemeId, integrate, stepper_for
+from sphererk.integrators import SchemeId, integrate_steps, stepper_for
 from sphererk.quaternion import quat_slerp
 
 XS = UnitVector3(1.0, 0.0, 0.0)
@@ -106,7 +106,7 @@ def test_c03_ssprk54_error_floor():
     step = stepper_for(SchemeId.SSSPRK54)
     errs = []
     for h in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4):
-        end = integrate(step, prob.f, prob.p0, 0.0, prob.t_final, h)[-1][1]
+        end = integrate_steps(step, prob.f, prob.p0, 0.0, prob.t_final, h)[-1][1]
         errs.append(vec.norm(vec.sub(end, ref)))
     flattened = errs[-1] > errs[-2] / 3.0  # an order-3 scheme would shrink 8x
     near_1e10 = 1e-12 < min(errs) < 5e-9
@@ -215,7 +215,7 @@ def test_c08_great_circle_exactness():
             per_step_worst = max(per_step_worst, err)
     revolution_worst = 0.0
     for scheme in (SchemeId.SFE, SchemeId.STVDRK2, SchemeId.STVDRK3):
-        end = integrate(scheme, f, p, 0.0, 2.0 * math.pi, math.pi / 100.0)[-1][1]
+        end = integrate_steps(stepper_for(scheme), f, p, 0.0, 2.0 * math.pi, math.pi / 100.0)[-1][1]
         revolution_worst = max(revolution_worst, vec.norm(vec.sub(end, p)))
     announce(
         "criterion-8 (rotation exact to 1e-12/step up to 0.9*pi/2; revolution 1e-10)",
@@ -323,12 +323,12 @@ def test_c12_structural_equivalence():
     x = prob.p0
     max_gap = 0.0
     for i in range(20):
-        a = baseline_step(BaselineId.PTVDRK2, prob.f, x, i * 0.1, 0.1)
-        b = baseline_step(BaselineId.PRK2, prob.f, x, i * 0.1, 0.1)
+        a = baseline_stepper(BaselineId.PTVDRK2)(prob.f, x, i * 0.1, 0.1)
+        b = baseline_stepper(BaselineId.PRK2)(prob.f, x, i * 0.1, 0.1)
         max_gap = max(max_gap, vec.norm(vec.sub(a, b)))
         x = a
-    primed = baseline_step(BaselineId.PTVDRK2P, prob.f, prob.p0, 0.0, 0.1)
-    plain = baseline_step(BaselineId.PTVDRK2, prob.f, prob.p0, 0.0, 0.1)
+    primed = baseline_stepper(BaselineId.PTVDRK2P)(prob.f, prob.p0, 0.0, 0.1)
+    plain = baseline_stepper(BaselineId.PTVDRK2)(prob.f, prob.p0, 0.0, 0.1)
     primed_gap = vec.norm(vec.sub(primed, plain))
     announce(
         "criterion-12 (PTVDRK2 == PRK2 to 1e-13; PTVDRK2' differs by > 1e-12)",

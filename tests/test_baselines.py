@@ -13,7 +13,6 @@ from sphererk.baselines import (
     RK6_C,
     BaselineId,
     angle_recurrence,
-    baseline_step,
     baseline_stepper,
     rk6_step,
 )
@@ -35,18 +34,18 @@ def test_registry_is_complete():
 @pytest.mark.parametrize("scheme", list(BaselineId))
 def test_zero_field_fixes_every_scheme(scheme):
     x = (0.6, 0.0, 0.8)
-    out = baseline_step(scheme, ZERO_FIELD, x, 0.0, 0.1)
+    out = baseline_stepper(scheme)(ZERO_FIELD, x, 0.0, 0.1)
     assert vec.norm(vec.sub(out, x)) <= 1e-15
 
 
 @pytest.mark.parametrize("scheme", sorted(ON_SPHERE, key=lambda s: s.value))
 def test_projected_schemes_end_on_sphere(scheme):
-    out = baseline_step(scheme, VORTEX, P0, 0.0, 0.1)
+    out = baseline_stepper(scheme)(VORTEX, P0, 0.0, 0.1)
     assert abs(vec.norm(out) - 1.0) <= 1e-15
 
 
 def test_unprojected_schemes_drift_off_sphere():
-    out = baseline_step(BaselineId.FE, VORTEX, P0, 0.0, 0.1)
+    out = baseline_stepper(BaselineId.FE)(VORTEX, P0, 0.0, 0.1)
     assert abs(vec.norm(out) - 1.0) > 1e-4
 
 
@@ -54,30 +53,30 @@ def test_pfe_polar_angle_is_arctan():
     f = rigid_rotation_field((1.0, 0.0, 0.0))
     p = (0.0, 0.0, 1.0)
     for h in (0.1, 0.5, 1.0):
-        out = baseline_step(BaselineId.PFE, f, p, 0.0, h)
+        out = baseline_stepper(BaselineId.PFE)(f, p, 0.0, h)
         assert geodesic_distance(out, p) == pytest.approx(math.atan(h), abs=1e-14)
 
 
 def test_velocity_extension_used_off_sphere():
     # evaluating at 2p must see the same field value as at p
     f = rigid_rotation_field((0.0, 0.0, 1.0))
-    on = baseline_step(BaselineId.FE, f, (1.0, 0.0, 0.0), 0.0, 0.2)
-    off = baseline_step(BaselineId.FE, f, (2.0, 0.0, 0.0), 0.0, 0.2)
+    on = baseline_stepper(BaselineId.FE)(f, (1.0, 0.0, 0.0), 0.0, 0.2)
+    off = baseline_stepper(BaselineId.FE)(f, (2.0, 0.0, 0.0), 0.0, 0.2)
     assert vec.norm(vec.sub(off, vec.add(on, (1.0, 0.0, 0.0)))) <= 1e-15
 
 
 def test_ptvdrk2_equals_prk2_stepwise():
     x = P0
     for i in range(20):
-        a = baseline_step(BaselineId.PTVDRK2, VORTEX, x, i * 0.1, 0.1)
-        b = baseline_step(BaselineId.PRK2, VORTEX, x, i * 0.1, 0.1)
+        a = baseline_stepper(BaselineId.PTVDRK2)(VORTEX, x, i * 0.1, 0.1)
+        b = baseline_stepper(BaselineId.PRK2)(VORTEX, x, i * 0.1, 0.1)
         assert vec.norm(vec.sub(a, b)) <= 1e-13
         x = a
 
 
 def test_ptvdrk2p_differs_from_ptvdrk2():
-    a = baseline_step(BaselineId.PTVDRK2, VORTEX, P0, 0.0, 0.1)
-    b = baseline_step(BaselineId.PTVDRK2P, VORTEX, P0, 0.0, 0.1)
+    a = baseline_stepper(BaselineId.PTVDRK2)(VORTEX, P0, 0.0, 0.1)
+    b = baseline_stepper(BaselineId.PTVDRK2P)(VORTEX, P0, 0.0, 0.1)
     assert vec.norm(vec.sub(a, b)) > 1e-12
 
 
@@ -92,7 +91,7 @@ def test_tvdrk2_planar_norm_matches_3d_step():
         return vec.scale(tangent, next(speeds))
 
     field = VelocityField(raw, name="two-speed")
-    out = baseline_step(BaselineId.TVDRK2, field, (0.0, -1.0, 0.0), 0.0, h)
+    out = baseline_stepper(BaselineId.TVDRK2)(field, (0.0, -1.0, 0.0), 0.0, h)
     assert vec.norm(out) == pytest.approx(tvdrk2_planar_norm(a, b, h), abs=1e-15)
 
 

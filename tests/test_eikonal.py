@@ -7,17 +7,16 @@ from conftest import read_csv_floats, seeded_unit_vectors
 from sphererk import vec
 from sphererk.batch import exp_rows, slerp_rows
 from sphererk.eikonal import (
+    _rhs,
+    _step_rows,
     COUPLED_SCHEMES,
     MODELS,
-    RayState,
     VelocityModel,
     Wavefront,
     constant_model,
-    coupled_step,
     gaussian_z_model,
     hamiltonian,
     initial_rays,
-    ray_rhs,
     scheme_for_order,
     spherical_to_cartesian,
     trace_wavefront,
@@ -61,18 +60,17 @@ def test_batch_slerp_matches_scalar():
 
 def test_rhs_unit_velocity_tangent_direction():
     model = constant_model()
-    k = (0.0, 1.0, 0.0)  # tangent unit at XS
-    dx, dk, du = ray_rhs(model, RayState(XS, k, 0.0))
-    assert max(abs(dx.v[i] - k[i]) for i in range(3)) < 1e-15
-    assert vec.norm(dk) < 1e-15
-    assert du == 1.0
+    k = np.array([[0.0, 1.0, 0.0]])  # tangent unit at XS
+    dx, dk = _rhs(model, np.array([XS]), k)
+    assert np.max(np.abs(dx - k)) < 1e-15
+    assert np.max(np.abs(dk)) < 1e-15
 
 
 def test_rhs_position_velocity_is_tangent():
     model = y31_model()
-    for p, d in zip(seeded_unit_vectors(51, 30), seeded_unit_vectors(52, 30)):
-        dx, _, _ = ray_rhs(model, RayState(p, d, 0.0))
-        assert abs(vec.dot(dx.v, p)) < 1e-12
+    x = np.array(seeded_unit_vectors(51, 30))
+    dx, _ = _rhs(model, x, np.array(seeded_unit_vectors(52, 30)))
+    assert np.max(np.abs(np.sum(dx * x, axis=1))) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["expz2", "y31"])
@@ -172,13 +170,10 @@ def test_gaussian_velocity_front_folds_after_five_intervals():
     assert onset < 1.0
 
 
-def test_coupled_step_scalar_wrapper():
-    model = constant_model()
-    s0 = RayState(XS, (0.0, 1.0, 0.0), 0.0)
-    s1 = coupled_step(3, model, s0, 0.05)
-    assert s1.u == 0.05
-    assert abs(vec.norm(s1.x) - 1.0) < 1e-14
-    assert geodesic_distance(s1.x, XS) == pytest.approx(0.05, abs=1e-6)
+def test_single_ray_step():
+    x, k = _step_rows("stvdrk3", constant_model(), np.array([XS]), np.array([[0.0, 1.0, 0.0]]), 0.05)
+    assert abs(vec.norm(x[0]) - 1.0) < 1e-14
+    assert geodesic_distance(x[0], XS) == pytest.approx(0.05, abs=1e-6)
 
 
 def test_wavefront_E2_exact_circle_is_zero():
@@ -279,3 +274,33 @@ def test_wavefront_csv_cells_are_round_trip_floats(tmp_path):
         [np.column_stack([np.full(8, f.t), np.arange(8), f.x, f.k, f.u]) for f in fronts]
     )
     assert np.array_equal(read_csv_floats(out), want)
+
+
+# Ray 1 of 3 on y31 after 5 steps of pi/50 from e1, (x, k), recorded from
+# the written-out stage chains of each coupled scheme.
+PINNED_RAYS = {
+    "sfe": ((0.924071887229703, -0.1866545415398658, 0.3335434444780432),
+            (-0.03557041770973586, -0.401660629766434, 0.8085001821467831)),
+    "pfe": ((0.9243352978577952, -0.18635103373453565, 0.33298280640329053),
+            (-0.035437779660575014, -0.4016437300945183, 0.8082246757631926)),
+    "stvdrk2": ((0.9243124494895525, -0.18221466045283824, 0.33532717342124296),
+                (-0.049542975593572666, -0.40515084867981127, 0.8451546716496829)),
+    "tvdrk2": ((0.9242902600480497, -0.1821407493178503, 0.33513573299222865),
+               (-0.04943175512758395, -0.4051398773679061, 0.8447471466934027)),
+    "ptvdrk2": ((0.9243846749171658, -0.18215479914832772, 0.3351605614112706),
+                (-0.04942942804174426, -0.4051399390864524, 0.8447392643495288)),
+    "stvdrk3": ((0.923547722456922, -0.18265273549688277, 0.33719072134348377),
+                (-0.04904119083491751, -0.40554484096762117, 0.8462602316557556)),
+    "tvdrk3": ((0.9236497793206434, -0.18266975327302734, 0.3371992278104002),
+               (-0.04901584460289179, -0.4055424400615239, 0.8461888287731304)),
+    "ptvdrk3": ((0.9235512785712643, -0.18265752028440155, 0.3371783891843255),
+                (-0.049019793912589045, -0.4055424631389961, 0.8462016840896918)),
+}
+
+
+@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+def test_pinned_ray_endpoints(scheme):
+    front = trace_wavefront(y31_model(), XS, 3, math.pi / 50, math.pi / 10, scheme=scheme)[-1]
+    x, k = PINNED_RAYS[scheme]
+    assert np.max(np.abs(front.x[1] - x)) <= 1e-14
+    assert np.max(np.abs(front.k[1] - k)) <= 1e-14

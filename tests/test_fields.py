@@ -163,10 +163,10 @@ def test_stability_interval_order3_root():
 
 
 def test_projected_linear_trajectories_stay_on_sphere():
-    from sphererk.integrators import SchemeId, integrate
+    from sphererk.integrators import SchemeId, integrate_steps, stepper_for
 
     g = projected_linear_field(STABILITY_MATRIX)
-    traj = integrate(SchemeId.STVDRK3, g, project((1.0, 1.0, 1.0)), 0.0, 2.0, 1e-3)
+    traj = integrate_steps(stepper_for(SchemeId.STVDRK3), g, project((1.0, 1.0, 1.0)), 0.0, 2.0, 1e-3)
     worst = max(abs(vec.norm(p) - 1.0) for _, p in traj)
     assert worst <= 1e-10
 

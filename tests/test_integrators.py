@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphererk import vec
-from sphererk.baselines import BASELINE_STEPPERS, BaselineId
+from sphererk.baselines import BASELINE_STEPPERS, BaselineId, baseline_stepper
 from sphererk.errors import (
     HemisphereViolationError,
     NoConvergenceError,
@@ -16,21 +16,17 @@ from sphererk.errors import (
 from sphererk.fields import VelocityField, rigid_rotation_field, rotate_about, vortex4_field
 from sphererk.geometry import UnitVector3, geodesic_distance, project, slerp
 from sphererk.integrators import (
-    SSPRK104_TABLEAU,
+    HALF_PI,
     STEPPERS,
     STVDRK4_Q3_WEIGHTS,
-    TVDRK2_TABLEAU,
-    TVDRK3_TABLEAU,
     SchemeId,
-    SspTableau,
+    _advance,
     _stvdrk4_stages,
     frechet_mean,
-    integrate,
     integrate_steps,
     progressive_slerp_combine,
     projected_mean,
     sfe_step,
-    ssp_step,
     ssprk104_step,
     ssprk54_step,
     stepper_for,
@@ -116,7 +112,7 @@ def test_global_orders_against_closed_form_rotation(scheme, order):
     rows = []
     for k in range(5):
         h = 0.1 * 2.0**-k
-        end = integrate(scheme, f, p0, 0.0, 1.0, h)[-1][1]
+        end = integrate_steps(stepper_for(scheme), f, p0, 0.0, 1.0, h)[-1][1]
         rows.append((h, vec.norm(vec.sub(end, exact))))
     slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
     assert abs(slope - order) <= 0.3
@@ -267,28 +263,55 @@ def test_stvdrk4_q3_weights_match_fold_parameters():
     assert vec.norm(vec.sub(via_weights, printed)) <= 1e-8
 
 
-def test_tableau_validation():
-    with pytest.raises(ValueError):
-        SspTableau(alpha=((1.0,), (0.7, 0.7)), beta=((1.0,), (0.0, 0.5)))
-    with pytest.raises(ValueError):
-        SspTableau(alpha=((1.0,), (0.0, 1.0)), beta=((1.0,), (0.5, 0.5)))
-    with pytest.raises(ValueError):
-        SspTableau(alpha=((-1.0,),), beta=((1.0,),))
-    with pytest.raises(ValueError):
-        SspTableau(alpha=((1.0,), (1.0,)), beta=((1.0,), (1.0,)))
+def _ssprk104_tableau():
+    """Shu-Osher (alpha, beta) rows of SSPRK(10,4): stage i is
+    sum_k alpha_ik u_k + beta_ik h f(u_k) over the earlier stages u_0..u_{i-1}."""
+    alpha, beta = [], []
+    for i in range(1, 11):
+        arow, brow = [0.0] * i, [0.0] * i
+        if i == 5:
+            arow[0], arow[4], brow[4] = 0.6, 0.4, 0.4 / 6.0
+        elif i == 10:
+            arow[0], arow[4], arow[9] = 0.04, 0.36, 0.6
+            brow[4], brow[9] = 0.36 / 6.0, 0.1
+        else:
+            arow[i - 1], brow[i - 1] = 1.0, 1.0 / 6.0
+        alpha.append(arow)
+        beta.append(brow)
+    return alpha, beta
+
+
+def _shu_osher_fold(alpha, beta, f, p, t, h):
+    """Exp-map/progressive-SLERP step of an (alpha, beta) tableau, stages at t.
+
+    Each building block alpha u + beta h f(u) becomes exp_u((beta/alpha) h f(u))
+    and each stage's convex combination a left fold of SLERPs.
+    """
+    us = [p]
+    for arow, brow in zip(alpha, beta):
+        acc, acc_w = None, 0.0
+        for u, a, b in zip(us, arow, brow):
+            if a == 0.0:
+                continue
+            pt = u if b == 0.0 else _advance(u, f.raw(u, t), (b / a) * h, HALF_PI)
+            acc_w += a
+            acc = pt if acc is None else slerp(acc, pt, a / acc_w)
+        us.append(acc)
+    return us[-1]
 
 
 @pytest.mark.parametrize(
     "tableau,step",
     [
-        (TVDRK2_TABLEAU, stvdrk2_step),
-        (TVDRK3_TABLEAU, stvdrk3_step),
-        (SSPRK104_TABLEAU, ssprk104_step),
+        (([[1.0], [0.5, 0.5]], [[1.0], [0.0, 0.5]]), stvdrk2_step),
+        (([[1.0], [0.75, 0.25], [1.0 / 3.0, 0.0, 2.0 / 3.0]],
+          [[1.0], [0.0, 0.25], [0.0, 0.0, 2.0 / 3.0]]), stvdrk3_step),
+        (_ssprk104_tableau(), ssprk104_step),
     ],
 )
 def test_generic_ssp_step_matches_hardcoded(tableau, step):
     # the field is autonomous so stage-time conventions cannot differ
-    got = ssp_step(tableau, VORTEX, P0, 0.0, 0.05)
+    got = _shu_osher_fold(*tableau, VORTEX, P0, 0.0, 0.05)
     want = step(VORTEX, P0, 0.0, 0.05)
     assert vec.norm(vec.sub(got, want)) <= 1e-13
 
@@ -309,55 +332,55 @@ def test_stvdrk_guard_at_half_pi():
 
 
 def test_integrate_zero_span():
-    traj = integrate(SchemeId.STVDRK3, VORTEX, P0, 0.0, 0.0, 0.1)
+    traj = integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 0.0, 0.1)
     assert traj == [(0.0, P0)]
 
 
 def test_integrate_counts_and_grid():
-    traj = integrate(SchemeId.SFE, VORTEX, P0, 0.0, 1.0, 0.1)
+    traj = integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, 1.0, 0.1)
     assert len(traj) == 11
     assert traj[-1][0] == 1.0
     assert traj[3][0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_integrate_partial_final_step():
-    traj = integrate(SchemeId.STVDRK2, VORTEX, P0, 0.0, 0.25, 0.1)
+    traj = integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.1)
     assert len(traj) == 4  # ceil(2.5) + 1
     assert traj[-1][0] == 0.25
     # endpoint agrees with an exactly divisible run to the same time
-    other = integrate(SchemeId.STVDRK2, VORTEX, P0, 0.0, 0.25, 0.05)
+    other = integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.05)
     assert vec.norm(vec.sub(traj[-1][1], other[-1][1])) < 5e-3
 
 
 def test_integrate_full_revolution_returns_home():
     f = rigid_rotation_field(OMEGA)
-    traj = integrate(SchemeId.STVDRK3, f, EQUATOR_P, 0.0, 2.0 * math.pi, math.pi / 100.0)
+    traj = integrate_steps(stepper_for(SchemeId.STVDRK3), f, EQUATOR_P, 0.0, 2.0 * math.pi, math.pi / 100.0)
     assert vec.norm(vec.sub(traj[-1][1], EQUATOR_P)) <= 1e-10
 
 
 def test_integrate_annotates_step_errors():
     f = rigid_rotation_field((0.0, 0.0, 4.0))
     with pytest.raises(StepTooLargeError, match="step 0"):
-        integrate(SchemeId.SFE, f, P0, 0.0, 2.0, 1.0)
+        integrate_steps(stepper_for(SchemeId.SFE), f, P0, 0.0, 2.0, 1.0)
 
 
 def test_integrate_validates_arguments():
     with pytest.raises(ValueError):
-        integrate(SchemeId.SFE, VORTEX, P0, 0.0, 1.0, -0.1)
+        integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
-        integrate(SchemeId.SFE, VORTEX, P0, 1.0, 0.0, 0.1)
+        integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 1.0, 0.0, 0.1)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_sphere_invariance_along_trajectories(scheme):
-    traj = integrate(scheme, VORTEX, P0, 0.0, 0.5, 1e-2)
+    traj = integrate_steps(stepper_for(scheme), VORTEX, P0, 0.0, 0.5, 1e-2)
     worst = max(abs(vec.norm(p) - 1.0) for _, p in traj)
     assert worst <= 1e-12
 
 
 def test_endpoint_matches_fine_reference():
-    end = integrate(SchemeId.STVDRK3, VORTEX, P0, 0.0, 2.0, 1e-3)[-1][1]
-    ref = integrate(SchemeId.STVDRK3, VORTEX, P0, 0.0, 2.0, 1e-4)[-1][1]
+    end = integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-3)[-1][1]
+    ref = integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-4)[-1][1]
     assert vec.norm(vec.sub(end, ref)) < 1e-8
 
 
@@ -393,14 +416,13 @@ SPUN_UP = VelocityField(lambda p, t: vec.cross((0.0, 0.0, 1.0 + t), p),
 @pytest.mark.parametrize(
     "step",
     [
-        lambda f, p, t, h: ssp_step(TVDRK3_TABLEAU, f, p, t, h),
         stvdrk4_step,
         stvdrk4_q3_variants,
         ssprk54_step,
         ssprk104_step,
         lambda f, p, t, h: ssprk104_step(f, p, t, h, combine="frechet"),
     ],
-    ids=["ssp_step", "stvdrk4", "stvdrk4_q3_variants", "sssprk54", "sssprk104",
+    ids=["stvdrk4", "stvdrk4_q3_variants", "sssprk54", "sssprk104",
          "sssprk104-frechet"],
 )
 def test_start_time_steppers_reject_non_autonomous_fields(step):
@@ -420,3 +442,80 @@ def test_stage_time_steppers_accept_non_autonomous_fields(step):
     end = integrate_steps(step, SPUN_UP, P0, 0.0, 0.5, 0.01)[-1][1]
     angle = 0.5 + 0.5**2 / 2.0
     assert vec.norm(vec.sub(project(end), (math.cos(angle), math.sin(angle), 0.0))) < 0.02
+
+
+# (cos 2t, sin 2t, 1/2) x p: the rotation axis turns about e3, so a stage
+# evaluated at the wrong time costs order.
+TWIRL = VelocityField(lambda p, t: vec.cross((math.cos(2.0 * t), math.sin(2.0 * t), 0.5), p),
+                      autonomous=False, name="twirl")
+TWIRL_P0 = project((0.3, 0.2, 1.0))
+
+
+def _twirl_exact(t):
+    # in the frame turning about e3 at rate 2 the axis stands still at (1, 0, -3/2)
+    return rotate_about((0.0, 0.0, 2.0), rotate_about((1.0, 0.0, -1.5), TWIRL_P0, t), t)
+
+
+TVDRK_FAMILY = {
+    "sfe": sfe_step,
+    "stvdrk2": stvdrk2_step,
+    "stvdrk3": stvdrk3_step,
+    **{b.value: baseline_stepper(b) for b in BaselineId if "tvdrk" in b.value},
+}
+
+
+@pytest.mark.parametrize(
+    "name,order",
+    [("sfe", 1), ("stvdrk2", 2), ("stvdrk3", 3), ("tvdrk2", 2), ("tvdrk3", 3),
+     ("ptvdrk3", 3), ("ptvdrk2p", 2), ("ptvdrk3p", 2)],
+)
+def test_stage_times_keep_the_order_on_a_time_dependent_field(name, order):
+    # every stage at the step's start time would fit stvdrk3 to about 1
+    hs = [0.05 * 2.0**-k for k in range(5)]
+    exact = _twirl_exact(2.0)
+    errs = [vec.norm(vec.sub(integrate_steps(TVDRK_FAMILY[name], TWIRL, TWIRL_P0, 0.0, 2.0, h)[-1][1],
+                             exact)) for h in hs]
+    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+    assert abs(slope - order) <= 0.25
+
+
+def _stvdrk2_chain(f, p, t, h):
+    q1 = _advance(p, f.raw(p, t), h, HALF_PI)
+    q2 = _advance(q1, f.raw(q1, t + h), h, HALF_PI)
+    return slerp(p, q2, 0.5)
+
+
+def _stvdrk3_chain(f, p, t, h):
+    q1 = _advance(p, f.raw(p, t), h, HALF_PI)
+    q2 = _advance(q1, f.raw(q1, t + h), h, HALF_PI)
+    q3 = slerp(p, q2, 0.25)
+    q4 = _advance(q3, f.raw(q3, t + 0.5 * h), h, HALF_PI)
+    return slerp(p, q4, 2.0 / 3.0)
+
+
+@pytest.mark.parametrize("step,chain", [(stvdrk2_step, _stvdrk2_chain), (stvdrk3_step, _stvdrk3_chain)])
+@pytest.mark.parametrize("field,p0", [(VORTEX, P0), (TWIRL, TWIRL_P0)], ids=["vortex4", "twirl"])
+def test_tvdrk_step_equals_the_written_out_chain(step, chain, field, p0):
+    got = integrate_steps(step, field, p0, 0.0, 2.0, 0.05)
+    assert got == integrate_steps(chain, field, p0, 0.0, 2.0, 0.05)
+
+
+# Endpoints at T = 2 with h = 0.1 on TWIRL, recorded from the written-out
+# stage chains of each scheme.
+PINNED_TWIRL_ENDPOINTS = {
+    "sfe": (0.8002058888268783, 0.582861037048013, 0.14122162362082094),
+    "stvdrk2": (0.7708568991641889, 0.628731176085469, 0.10235599263919026),
+    "stvdrk3": (0.7696669061486401, 0.6307110467888061, 0.09907789379145386),
+    "tvdrk2": (0.771361396841396, 0.6293307128224076, 0.10440587327870526),
+    "tvdrk3": (0.7701510463078589, 0.630945738896283, 0.0996166753261833),
+    "ptvdrk2": (0.7706421730841131, 0.6288034996271374, 0.10352197796053204),
+    "ptvdrk2p": (0.7696024546589807, 0.6296338945105852, 0.10617542402225086),
+    "ptvdrk3": (0.769695225918483, 0.6306617997792644, 0.09917133405109804),
+    "ptvdrk3p": (0.7682802974751087, 0.6317067623491942, 0.10340189028183723),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TWIRL_ENDPOINTS))
+def test_pinned_endpoints_on_a_time_dependent_field(name):
+    end = integrate_steps(TVDRK_FAMILY[name], TWIRL, TWIRL_P0, 0.0, 2.0, 0.1)[-1][1]
+    assert vec.norm(vec.sub(end, PINNED_TWIRL_ENDPOINTS[name])) <= 1e-14

@@ -6,13 +6,13 @@ import pytest
 from conftest import read_csv_floats
 from sphererk.errors import NonFiniteStateError, StepTooLargeError
 from sphererk.pharmonic import (
+    _lap_rows,
     DirectorCurve,
     PFlowParams,
     default_dt,
     initial_discontinuous_curve,
     node_jumps,
     p_energy,
-    p_laplacian,
     pflow_evolve,
     pflow_rhs,
     seam_indices,
@@ -55,7 +55,7 @@ def test_curve_validation():
 
 def test_constant_curve_is_steady():
     c = constant_curve()
-    assert np.max(np.abs(p_laplacian(c, 2.0))) == 0.0
+    assert np.max(np.abs(_lap_rows(c.m, c.ds, 2.0, 1e-6))) == 0.0
     assert np.max(np.abs(pflow_rhs(c, 2.0))) == 0.0
     params = PFlowParams(p=2.0, dt=default_dt(c, 2.0), t_final=10 * default_dt(c, 2.0))
     snaps = pflow_evolve(c, params)
@@ -66,7 +66,7 @@ def test_p2_laplacian_on_great_circle_is_centripetal_and_second_order():
     errs = []
     for n in (16, 32, 64, 128):
         c = great_circle_curve(n)
-        lap = p_laplacian(c, 2.0)
+        lap = _lap_rows(c.m, c.ds, 2.0, 1e-6)
         # discrete second difference of the circle points radially inward
         radial = lap + (2.0 * math.pi) ** 2 * c.m
         cosine = np.sum(lap * c.m, axis=1) / np.linalg.norm(lap, axis=1)
@@ -78,8 +78,8 @@ def test_p2_laplacian_on_great_circle_is_centripetal_and_second_order():
 
 def test_p2_ignores_regularization():
     c = wobbly_curve()
-    a = p_laplacian(c, 2.0, eps_reg=1e-6)
-    b = p_laplacian(c, 2.0, eps_reg=1e-2)
+    a = _lap_rows(c.m, c.ds, 2.0, 1e-6)
+    b = _lap_rows(c.m, c.ds, 2.0, 1e-2)
     assert np.array_equal(a, b)
 
 
@@ -188,7 +188,7 @@ def test_snapshot_csv(tmp_path):
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_rhs_equals_double_cross_form(p):
     for c in (wobbly_curve(), initial_discontinuous_curve(64)):
-        lap = p_laplacian(c, p)
+        lap = _lap_rows(c.m, c.ds, p, 1e-6)
         double_cross = np.cross(c.m, np.cross(lap, c.m))
         rhs = pflow_rhs(c, p)
         assert np.max(np.abs(rhs - double_cross)) <= 1e-12 * np.max(np.abs(double_cross))
@@ -221,3 +221,25 @@ def test_snapshot_csv_cells_are_round_trip_floats(tmp_path):
         [np.column_stack([np.full(16, t), np.arange(16) / 16, curve.m]) for t, curve in snaps]
     )
     assert np.array_equal(read_csv_floats(out), want)
+
+
+# Nodes 3 and 12 of the 16-node discontinuous curve after 20 default steps,
+# recorded from the written-out stage chains.
+PINNED_NODES = {
+    (1.0, 2): ((0.5801967240350683, -0.2122354186417469, -0.7863382786644295),
+               (-0.9999999925504286, 0.0001217501578979843, 8.720210343843297e-06)),
+    (1.0, 3): ((0.5801789987900643, -0.2122130911121133, -0.7863573826979691),
+               (-0.9999999925159127, 0.00012203663335653448, 8.673826505406107e-06)),
+    (2.0, 2): ((0.9379065071146175, -0.2085811364908283, -0.27717376032419594),
+               (-0.9984033528037937, -0.026582724998035552, 0.04984078492380929)),
+    (2.0, 3): ((0.9379538100086287, -0.20855597879680915, -0.2770325865280173),
+               (-0.9984090046331618, -0.02654432821786008, 0.049747945755385645)),
+}
+
+
+@pytest.mark.parametrize("p,order", sorted(PINNED_NODES))
+def test_pinned_pflow_nodes(p, order):
+    c0 = initial_discontinuous_curve(16)
+    dt = default_dt(c0, p)
+    m = pflow_evolve(c0, PFlowParams(p=p, dt=dt, t_final=20 * dt), order=order)[-1][1].m
+    assert np.max(np.abs(m[[3, 12]] - np.array(PINNED_NODES[p, order]))) <= 1e-14
