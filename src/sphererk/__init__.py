@@ -4,10 +4,8 @@ from .baselines import BaselineId, angle_recurrence, baseline_stepper
 from .errors import (
     AntipodalPointsError,
     DegenerateFrontError,
-    HemisphereViolationError,
     LogBranchUndefinedError,
     NearPoleError,
-    NoConvergenceError,
     NonAutonomousFieldError,
     NonFiniteStateError,
     NonPositiveError,
@@ -18,33 +16,25 @@ from .errors import (
     ZeroVectorError,
 )
 from .fields import (
-    StabilitySigma,
     VelocityField,
     VortexConfig,
     projected_linear_field,
     rigid_rotation_field,
     rotate_about,
     stability_interval,
-    stability_sigma,
     vortex4_field,
 )
 from .geometry import (
-    TangentVector,
     UnitVector3,
-    exp_map,
     exp_raw,
     geodesic_distance,
     project,
-    same_hemisphere,
     slerp,
-    tangent_vector,
     unit_vector,
 )
 from .integrators import (
     SchemeId,
-    frechet_mean,
     integrate_steps,
-    progressive_slerp_combine,
     sfe_step,
     ssprk54_step,
     ssprk104_step,

@@ -5,7 +5,8 @@ sphere constraint (FE, RK2-4, TVDRK2-3), radially project the final stage
 (PFE, PRK2-4, PTVDRK2, PTVDRK3), or project every intermediate stage (the
 primed internal-projection variants PTVDRK2', PTVDRK3').  The TVDRK family
 runs ``integrators.tvdrk_step`` with forward Euler and linear interpolation,
-projected after every substep and combination in the primed variants.
+projected after every substep and combination in the primed variants.  RK2-4
+and ``rk6_step`` share one loop over Butcher tableaux (c, A, b).
 
 The velocity field is always evaluated through the closest-point extension
 f(x, t) = f(x/|x|, t), so stage values slightly off the sphere remain legal
@@ -72,37 +73,17 @@ def _plerp(a, b, w):
     return project(_lerp(a, b, w))
 
 
-def _rk2(f, x, t, h):
-    s1 = _ext(f, x, t)
-    q1 = vec.axpy(h, s1, x)
-    s2 = _ext(f, q1, t + h)
-    return vec.axpy(0.5 * h, vec.add(s1, s2), x)
+# Butcher tableaux (c, A, b): stage times c_i, lower-triangular rows a_ij and
+# weights b_i.  Heun's method, Kutta's third-order method and classical RK4:
+RK2_TABLEAU = ((0.0, 1.0), ((), (1.0,)), (0.5, 0.5))
+RK3_TABLEAU = ((0.0, 0.5, 1.0), ((), (0.5,), (-1.0, 2.0)), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+RK4_TABLEAU = (
+    (0.0, 0.5, 0.5, 1.0),
+    ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+    (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0),
+)
 
-
-def _rk3(f, x, t, h):
-    s1 = _ext(f, x, t)
-    q1 = vec.axpy(0.5 * h, s1, x)
-    s2 = _ext(f, q1, t + 0.5 * h)
-    q2 = vec.axpy(2.0 * h, s2, vec.axpy(-h, s1, x))
-    s3 = _ext(f, q2, t + h)
-    acc = vec.add(vec.axpy(4.0, s2, s1), s3)
-    return vec.axpy(h / 6.0, acc, x)
-
-
-def _rk4(f, x, t, h):
-    s1 = _ext(f, x, t)
-    q1 = vec.axpy(0.5 * h, s1, x)
-    s2 = _ext(f, q1, t + 0.5 * h)
-    q2 = vec.axpy(0.5 * h, s2, x)
-    s3 = _ext(f, q2, t + 0.5 * h)
-    q3 = vec.axpy(h, s3, x)
-    s4 = _ext(f, q3, t + h)
-    acc = vec.add(vec.add(s1, vec.scale(vec.add(s2, s3), 2.0)), s4)
-    return vec.axpy(h / 6.0, acc, x)
-
-
-# Butcher's seven-stage sixth-order method (J. Austral. Math. Soc. 4, 1964):
-# stage times c_i, lower-triangular rows a_ij and weights b_i.
+# Butcher's seven-stage sixth-order method (J. Austral. Math. Soc. 4, 1964).
 RK6_C = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 0.5, 0.5, 1.0)
 RK6_A = (
     (),
@@ -114,6 +95,35 @@ RK6_A = (
     (9.0 / 44.0, -9.0 / 11.0, 63.0 / 44.0, 18.0 / 11.0, 0.0, -16.0 / 11.0),
 )
 RK6_B = (11.0 / 120.0, 0.0, 27.0 / 40.0, 27.0 / 40.0, -4.0 / 15.0, -4.0 / 15.0, 11.0 / 120.0)
+RK6_TABLEAU = (RK6_C, RK6_A, RK6_B)
+
+
+def _butcher_step(tableau, f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
+    """One unprojected explicit RK step of ``tableau`` on the extension f(x/|x|, t)."""
+    cs, rows, bs = tableau
+    ks = []
+    for c, row in zip(cs, rows):
+        y = x
+        for a, k in zip(row, ks):
+            if a:
+                y = vec.axpy(a * h, k, y)
+        ks.append(_ext(f, y, t + c * h))
+    for b, k in zip(bs, ks):
+        if b:
+            x = vec.axpy(b * h, k, x)
+    return x
+
+
+def _rk2(f, x, t, h):
+    return _butcher_step(RK2_TABLEAU, f, x, t, h)
+
+
+def _rk3(f, x, t, h):
+    return _butcher_step(RK3_TABLEAU, f, x, t, h)
+
+
+def _rk4(f, x, t, h):
+    return _butcher_step(RK4_TABLEAU, f, x, t, h)
 
 
 def rk6_step(f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
@@ -123,17 +133,7 @@ def rk6_step(f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
     the end of an integration keeps the sixth order.  This is the harness's
     reference method, deliberately not one of the schemes under test.
     """
-    ks = []
-    for c, row in zip(RK6_C, RK6_A):
-        y = x
-        for a, k in zip(row, ks):
-            if a:
-                y = vec.axpy(a * h, k, y)
-        ks.append(_ext(f, y, t + c * h))
-    for b, k in zip(RK6_B, ks):
-        if b:
-            x = vec.axpy(b * h, k, x)
-    return x
+    return _butcher_step(RK6_TABLEAU, f, x, t, h)
 
 
 def _tvdrk2(f, x, t, h):

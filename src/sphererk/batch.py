@@ -15,9 +15,7 @@ from typing import Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import AntipodalPointsError, NonFiniteStateError, StepTooLargeError
-
-SMALL_ANGLE = 1e-8
-ANTIPODAL_LIMIT = math.pi - 1e-8
+from .geometry import ANTIPODAL_LIMIT, SMALL_ANGLE
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,7 +75,8 @@ def exp_rows(p: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def slerp_rows(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
-    """Rowwise SLERP at a common parameter t; NaN rows raise NonFiniteStateError.
+    """Rowwise SLERP at a common parameter t; rows with a NaN or infinite
+    coordinate raise NonFiniteStateError.
 
     Rows closer than SMALL_ANGLE take the nlerp weights 1 - t and t, unit to
     about 1e-17 without renormalizing.
@@ -94,4 +93,9 @@ def slerp_rows(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
     s = np.sin(safe)
     a = np.where(small, 1.0 - t, np.sin((1.0 - t) * safe) / s)
     b = np.where(small, t, np.sin(t * safe) / s)
-    return a * p + b * q
+    out = a * p + b * q
+    # an infinite coordinate leaves omega finite (2 atan2(inf, inf) = pi/2)
+    # but not the result; one sum is cheaper than testing both inputs
+    if not math.isfinite(float(np.sum(out))):
+        raise NonFiniteStateError("slerp rows contain a non-finite point")
+    return out

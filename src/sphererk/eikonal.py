@@ -31,10 +31,8 @@ from .batch import (
     check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows, snapshot_steps,
 )
 from .errors import DegenerateFrontError
-from .geometry import UnitVector3
+from .geometry import HALF_PI, UnitVector3
 from .integrators import tvdrk_step
-
-HALF_PI = 0.5 * math.pi
 
 Y31_AMPLITUDE = -0.125 * math.sqrt(21.0 / math.pi)
 
@@ -298,15 +296,22 @@ def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -
     return math.sqrt(integral)
 
 
+# Rows per slice converted to Python floats while writing a front, so the
+# transient lists stay small however many rays the front has.
+CSV_CHUNK_ROWS = 4096
+
+
 def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) -> None:
-    """Write every front's rows, streamed one front at a time."""
+    """Write every front's rows, streamed in slices of CSV_CHUNK_ROWS rays."""
     with open(path, "w", encoding="utf-8") as out:
         out.write("t,ray_index,x,y,z,kx,ky,kz,u\n")
         for front in fronts:
             t = float(front.t)
-            # .tolist() yields Python floats, whose repr is the shortest round trip
-            rows = zip(front.x.tolist(), front.k.tolist(), front.u.tolist())
-            out.writelines(
-                f"{t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}\n"
-                for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows)
-            )
+            for j0 in range(0, len(front.u), CSV_CHUNK_ROWS):
+                j1 = j0 + CSV_CHUNK_ROWS
+                # .tolist() yields Python floats, whose repr is the shortest round trip
+                rows = zip(front.x[j0:j1].tolist(), front.k[j0:j1].tolist(), front.u[j0:j1].tolist())
+                out.writelines(
+                    f"{t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}\n"
+                    for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows, j0)
+                )

@@ -37,14 +37,6 @@ class NearPoleError(SphereRKError, ValueError):
     """Velocity field evaluated too close to a vortex center."""
 
 
-class HemisphereViolationError(SphereRKError, ValueError):
-    """Weighted points are not certifiably inside one open hemisphere."""
-
-
-class NoConvergenceError(SphereRKError, RuntimeError):
-    """Iterative solver did not reach its tolerance within the iteration budget."""
-
-
 class DegenerateFrontError(SphereRKError, ValueError):
     """Wavefront polyline has (numerically) zero total length."""
 

@@ -1,20 +1,19 @@
 """Velocity fields and model problems used by the benchmark harness.
 
-All fields map a sphere point (and time) to a tangent vector.  Raw evaluations
-work on plain tuples for speed; ``field(p, t)`` wraps the result in a
-:class:`~sphererk.geometry.TangentVector` after scrubbing the O(1e-16) normal
-drift that embedded-space formulas accumulate.
+All fields map a sphere point (and time) to a tangent vector.  Evaluations
+work on plain tuples for speed and return the tangential part, which scrubs
+the O(1e-16) normal drift that embedded-space formulas accumulate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from . import vec
 from .errors import NearPoleError
-from .geometry import TangentVector, UnitVector3, project
+from .geometry import UnitVector3, project
 from .vec import Vec3
 
 Matrix3 = Tuple[Vec3, Vec3, Vec3]
@@ -25,18 +24,15 @@ class VelocityField:
     """A tangent velocity field f(p, t) on the unit sphere.
 
     ``raw`` evaluates at an on-sphere point and returns the tangent 3-vector
-    (already projected onto the tangent plane); calling the field wraps the
-    result as a TangentVector.  ``params`` holds the hashable values defining
-    ``raw`` (vortex centres, rotation, matrix), so caches key on the field.
+    (already projected onto the tangent plane).  ``params`` holds the
+    hashable values defining ``raw`` (vortex centres, rotation, matrix), so
+    caches key on the field.
     """
 
     raw: Callable[[Vec3, float], Vec3]
     autonomous: bool = True
     name: str = ""
     params: Tuple = ()
-
-    def __call__(self, p: UnitVector3, t: float = 0.0) -> TangentVector:
-        return TangentVector(p, self.raw(p, t))
 
 
 def _project_tangent(p: Vec3, v: Vec3) -> Vec3:
@@ -127,30 +123,6 @@ def diag(d1: float, d2: float, d3: float) -> Matrix3:
 
 
 STABILITY_MATRIX: Matrix3 = diag(0.5, -0.5, -0.5)
-
-
-@dataclass(frozen=True)
-class StabilitySigma:
-    """Eigenvalue gaps of the projected linear model at the axis equilibria."""
-
-    table: Dict[Tuple[int, int], float]
-    sigma: float
-
-
-def stability_sigma(diagonal: Vec3) -> StabilitySigma:
-    """Gaps sigma_ij = lambda_j - lambda_i (i != j) for a diagonal M, and their minimum.
-
-    At the equilibrium e_i the linearized flow on the tangent plane acts with
-    eigenvalues sigma_ij in the e_j directions, so min sigma_ij < 0 governs a
-    stable attractor.
-    """
-    table = {
-        (i, j): diagonal[j] - diagonal[i]
-        for i in range(3)
-        for j in range(3)
-        if i != j
-    }
-    return StabilitySigma(table, min(table.values()))
 
 
 def stability_interval(order: int) -> float:

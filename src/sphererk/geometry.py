@@ -1,10 +1,10 @@
 """Exact spherical primitives on the unit 2-sphere.
 
-Points live on S^2 as ``UnitVector3`` named tuples, velocities are
-``TangentVector`` pairs (base point, tangent 3-vector).  Everything here is a
-pure function over immutable values; the geodesic building blocks are
+Points live on S^2 as ``UnitVector3`` named tuples, velocities are plain
+tangent 3-vectors.  Everything here is a pure function over immutable values;
+the geodesic building blocks are
 
-* ``exp_raw`` / ``exp_map``: exponential map cos(|s|) p + sin(|s|) s/|s|
+* ``exp_raw``: exponential map cos(|s|) p + sin(|s|) s/|s|
 * ``slerp``: constant-speed interpolation along the minor great-circle arc
 * ``geodesic_distance``: arc length between two points.
 """
@@ -20,9 +20,12 @@ from .vec import Vec3
 
 # Below this angle sin(x)/x and the slerp denominator switch to series forms.
 SMALL_ANGLE = 1e-8
+# SLERP endpoints farther apart than this are antipodal: no unique geodesic.
+ANTIPODAL_LIMIT = math.pi - 1e-8
+# Stage-arc bound of the multi-stage schemes, keeping SLERP on the minor arc.
+HALF_PI = 0.5 * math.pi
 
 UNIT_NORM_TOL = 1e-12
-TANGENCY_TOL = 1e-10
 
 
 class UnitVector3(NamedTuple):
@@ -33,24 +36,7 @@ class UnitVector3(NamedTuple):
     z: float
 
 
-class TangentVector(NamedTuple):
-    """A velocity in the tangent plane of S^2 at ``base``."""
-
-    base: UnitVector3
-    v: Vec3
-
-
-class HemisphereCheck(NamedTuple):
-    same: bool
-    collinear: bool
-
-    def __bool__(self) -> bool:
-        return self.same
-
-
 E1 = UnitVector3(1.0, 0.0, 0.0)
-E2 = UnitVector3(0.0, 1.0, 0.0)
-E3 = UnitVector3(0.0, 0.0, 1.0)
 
 
 def project(v: Vec3) -> UnitVector3:
@@ -79,25 +65,6 @@ def unit_vector(x: float, y: float, z: float, tol: float = UNIT_NORM_TOL) -> Uni
     return UnitVector3(x, y, z)
 
 
-def tangent_vector(base: UnitVector3, v: Vec3, mode: str = "project") -> TangentVector:
-    """Attach ``v`` to the tangent plane at ``base``.
-
-    ``mode='project'`` (default) removes the normal component, since velocity
-    fields written in embedded coordinates accumulate O(1e-16) normal drift;
-    ``mode='reject'`` raises if the normal component exceeds the tangency
-    tolerance.
-    """
-    radial = vec.dot(base, v)
-    if mode == "project":
-        v = vec.axpy(-radial, base, v)
-    elif mode == "reject":
-        if abs(radial) > TANGENCY_TOL:
-            raise ValueError(f"vector has normal component {radial!r} at its base point")
-    else:
-        raise ValueError(f"unknown tangency mode {mode!r}")
-    return TangentVector(base, (v[0], v[1], v[2]))
-
-
 def geodesic_distance(p: Vec3, q: Vec3) -> float:
     """Arc length between two unit vectors, in [0, pi].
 
@@ -122,13 +89,6 @@ def exp_raw(p: Vec3, s: Vec3) -> UnitVector3:
     )
 
 
-def exp_map(p: UnitVector3, s: TangentVector) -> UnitVector3:
-    """Follow the geodesic leaving ``p`` with initial velocity ``s`` for unit time."""
-    if s.base != p:
-        raise ValueError("tangent vector is based at a different point")
-    return exp_raw(p, s.v)
-
-
 def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:
     """Point at parameter ``t`` of the minor great-circle arc from p to q.
 
@@ -145,7 +105,7 @@ def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:
         If the separation is NaN (a NaN or infinite coordinate).
     """
     omega = geodesic_distance(p, q)
-    if not (omega <= math.pi - 1e-8):
+    if not (omega <= ANTIPODAL_LIMIT):
         if math.isnan(omega):
             raise NonFiniteStateError("slerp endpoints are not finite")
         raise AntipodalPointsError(f"slerp endpoints are antipodal (separation {omega!r})")
@@ -159,18 +119,3 @@ def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:
         a * p[1] + b * q[1],
         a * p[2] + b * q[2],
     )
-
-
-def same_hemisphere(a: Vec3, b: Vec3, c: Vec3, tol: float = 1e-12) -> HemisphereCheck:
-    """Do three sphere points lie strictly inside one open hemisphere?
-
-    The signed volume (b x c) . a is the common value of n . p for all three
-    points, with n normal to their plane; it is nonzero exactly when the
-    points are non-collinear, in which case all three sit on one side of the
-    plane through the origin.  Collinear triples (a shared great circle)
-    return ``same=False`` with the ``collinear`` flag set.
-    """
-    det = vec.triple(a, b, c)
-    if abs(det) <= tol:
-        return HemisphereCheck(False, True)
-    return HemisphereCheck(True, False)

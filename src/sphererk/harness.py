@@ -26,7 +26,6 @@ from .fields import (
     VortexConfig,
     projected_linear_field,
     rigid_rotation_field,
-    stability_interval,
     vortex4_field,
 )
 from .geometry import E1, UnitVector3, geodesic_distance, project, slerp
@@ -495,12 +494,6 @@ def verify_table2(
                 enorm_failures.append(name)
     passed = not order_failures and not enorm_failures
     return Table2Report(reports, tuple(order_failures), tuple(enorm_failures), passed)
-
-
-def mu_star_residual() -> Tuple[float, float]:
-    """The order-3 stability bound and its cubic residual."""
-    mu = stability_interval(3)
-    return mu, mu**3 / 6.0 + mu**2 / 2.0 + mu + 2.0
 
 
 # --- emission ---------------------------------------------------------------

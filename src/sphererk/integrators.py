@@ -9,15 +9,13 @@ stage and every output on the unit sphere by construction:
 * ``stvdrk3_step``   - three exp-map stages + two SLERPs, third order
 * ``stvdrk4_step``, ``ssprk54_step``, ``ssprk104_step`` - four-stage-order
   candidates; their observed convergence tops out at third order (second with
-  the Frechet-mean combination), which the benchmark harness documents.
+  the projected-average combination), which the benchmark harness documents.
 
 ``tvdrk_step`` holds the Shu-Osher stage structure of TVDRK1-3 once; the
 sphere steppers here, the Cartesian baselines and the eikonal and p-harmonic
 row steppers run it with their own substep and combination.  The
 fourth-order candidates evaluate every stage at the step's start time, so
 they raise NonAutonomousFieldError on time-dependent fields.
-``frechet_mean`` is the intrinsic weighted average used by the alternative
-combination route.
 
 Scheme coefficients for the fourth-order candidates are embedded verbatim as
 15-digit decimals; their rounding is the source of the ~1e-10 accuracy floor
@@ -31,16 +29,9 @@ from enum import Enum
 from typing import Callable, Sequence, Tuple
 
 from . import vec
-from .errors import (
-    HemisphereViolationError,
-    NoConvergenceError,
-    NonAutonomousFieldError,
-    NonFiniteStateError,
-    SphereRKError,
-    StepTooLargeError,
-)
+from .errors import NonAutonomousFieldError, NonFiniteStateError, SphereRKError, StepTooLargeError
 from .fields import VelocityField
-from .geometry import UnitVector3, exp_raw, geodesic_distance, project, slerp
+from .geometry import HALF_PI, UnitVector3, exp_raw, project, slerp
 from .vec import Vec3
 
 Stepper = Callable[[VelocityField, UnitVector3, float, float], UnitVector3]
@@ -48,8 +39,6 @@ Stepper = Callable[[VelocityField, UnitVector3, float, float], UnitVector3]
 # A spherical convex combination: (weight, point) pairs with nonnegative
 # weights summing to 1.
 WeightedPoints = Sequence[Tuple[float, Vec3]]
-
-HALF_PI = 0.5 * math.pi
 
 
 class SchemeId(str, Enum):
@@ -59,8 +48,9 @@ class SchemeId(str, Enum):
     STVDRK4 = "stvdrk4"
     SSSPRK54 = "sssprk54"
     SSSPRK104 = "sssprk104"
-    # Variant of SSSPRK104 whose convex combinations use the Frechet mean
-    # instead of progressive SLERP; needed to reproduce the order-2 result.
+    # Variant of SSSPRK104 whose convex combinations use the projected
+    # average instead of progressive SLERP; needed to reproduce the order-2
+    # result.
     SSSPRK104_FRECHET = "sssprk104-frechet"
 
 
@@ -130,12 +120,8 @@ def stvdrk3_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
     return tvdrk_step(3, _exp_euler, slerp, f, p, t, h)
 
 
-# Weights of the three-point combination that forms the third combined stage
-# of the ten-exp-map fourth-order candidate, in Frechet-mean form.
-STVDRK4_Q3_WEIGHTS = (0.0215956, 0.24031065, 0.73809375)
-
-
-def _stvdrk4_stages(f: VelocityField, p: UnitVector3, t: float, h: float):
+def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
+    """Ten-exp-map, six-SLERP fourth-order candidate (observed order ~3)."""
     _require_autonomous(f, "stvdrk4")
     fp = f.raw(p, t)
     q1 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
@@ -146,12 +132,6 @@ def _stvdrk4_stages(f: VelocityField, p: UnitVector3, t: float, h: float):
     q30 = _advance(p, fp, -0.947054029524533 * h, HALF_PI)
     q31 = _advance(q1, fq1, -1.065495848810696 * h, HALF_PI)
     q32 = _advance(q2, f.raw(q2, t), 1.066666666666667 * h, HALF_PI)
-    return fp, fq1, q1, q2, q30, q31, q32
-
-
-def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """Ten-exp-map, six-SLERP fourth-order candidate (observed order ~3)."""
-    fp, fq1, q1, q2, q30, q31, q32 = _stvdrk4_stages(f, p, t, h)
     r31 = slerp(q30, q31, 0.917544541224197)
     q3 = slerp(r31, q32, 0.738093750000000)
     q40 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
@@ -160,22 +140,6 @@ def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
     r41 = slerp(q40, q41, 0.505236249690773)
     r42 = slerp(r41, q2, 0.393650000000000)
     return slerp(r42, q43, 0.333333333333333)
-
-
-def stvdrk4_q3_variants(
-    f: VelocityField, p: UnitVector3, t: float, h: float
-) -> Tuple[UnitVector3, UnitVector3]:
-    """Both fold orders of the three-point combination feeding the third stage.
-
-    Progressive SLERP is not associative, so the two orders disagree on
-    generic inputs; this is the witness the property suite checks.
-    """
-    _, _, _, _, q30, q31, q32 = _stvdrk4_stages(f, p, t, h)
-    r31 = slerp(q30, q31, 0.917544541224197)
-    q3 = slerp(r31, q32, 0.738093750000000)
-    r31_alt = slerp(q32, q31, 0.245614850055866)
-    q3_alt = slerp(r31_alt, q30, 0.021595600000000)
-    return q3, q3_alt
 
 
 def ssprk54_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
@@ -211,10 +175,9 @@ def ssprk104_step(
 
     ``combine='slerp'`` uses progressive SLERP (weights 0.4, 0.9, 0.6 as the
     fold parameters); ``combine='frechet'`` replaces each convex combination
-    by the Frechet mean of the same weighted points in its fast
-    projected-average form (the initial iterate of :func:`frechet_mean`).
-    The fast form is the route whose combination defect caps this scheme at
-    second order; iterating the mean to convergence reproduces the
+    by the projected average of the same weighted points, the fast stand-in
+    for their Frechet mean.  Its combination defect caps this scheme at
+    second order; the Frechet mean itself would reproduce the
     progressive-SLERP accuracy instead, because the stage points are nearly
     collinear and both averages then agree beyond the measured order.
     """
@@ -246,87 +209,17 @@ def ssprk104_frechet_step(
     return ssprk104_step(f, p, t, h, combine="frechet")
 
 
-def progressive_slerp_combine(
-    points: Sequence[Vec3], alphas: Sequence[float]
-) -> UnitVector3:
-    """Left fold of pairwise SLERPs with weights alpha_k / (alpha_0 + ... + alpha_k).
-
-    Entries with zero weight are skipped.  The fold is not associative, so the
-    ordering of ``points`` is part of the definition.
-    """
-    if len(points) != len(alphas):
-        raise ValueError("points and alphas must have equal length")
-    if any(a < 0.0 for a in alphas):
-        raise ValueError("combination weights must be nonnegative")
-    if abs(sum(alphas) - 1.0) > 1e-12:
-        raise ValueError("combination weights must sum to 1")
-    live = [(a, pt) for a, pt in zip(alphas, points) if a > 0.0]
-    if not live:
-        raise ValueError("at least one positive weight is required")
-    acc_w, acc = live[0]
-    acc = UnitVector3(*acc)
-    for a, pt in live[1:]:
-        acc_w += a
-        acc = slerp(acc, pt, a / acc_w)
-    return acc
-
-
 def projected_mean(weighted_points: WeightedPoints) -> UnitVector3:
     """Weighted Euclidean average projected back onto the sphere.
 
-    This is the fast stand-in for the Frechet mean (and the initial iterate
-    of :func:`frechet_mean`); unlike progressive SLERP it is not exact on
-    geodesic configurations, deviating at third order in the point spread.
+    This is the fast stand-in for the Frechet mean; unlike progressive SLERP
+    it is not exact on geodesic configurations, deviating at third order in
+    the point spread.
     """
     acc = vec.ZERO
     for w, pt in weighted_points:
         acc = vec.axpy(w, pt, acc)
     return project(acc)
-
-
-def _log_raw(q: Vec3, p: Vec3) -> Vec3:
-    """Tangent vector at q pointing to p with length d(q, p) (inverse of exp_raw)."""
-    theta = geodesic_distance(q, p)
-    if theta < 1e-12:
-        return vec.ZERO
-    d = vec.axpy(-math.cos(theta), q, p)
-    return vec.scale(d, theta / vec.norm(d))
-
-
-def frechet_mean(
-    weighted_points: WeightedPoints,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> UnitVector3:
-    """Minimizer of sum_i w_i dist(q, p_i)^2 over the sphere.
-
-    Fixed-point Riemannian gradient descent with unit step: map the points to
-    the tangent plane at the current iterate, average, follow the exponential
-    map.  The start point is the projected Euclidean average.  Points must be
-    certifiably inside one open hemisphere for the minimizer to be unique.
-    """
-    weights = [w for w, _ in weighted_points]
-    points = [pt for _, pt in weighted_points]
-    if any(w < 0.0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
-    centroid = vec.ZERO
-    for w, pt in weighted_points:
-        centroid = vec.axpy(w, pt, centroid)
-    if vec.norm(centroid) < 1e-12:
-        raise HemisphereViolationError("weighted Euclidean mean is (numerically) zero")
-    q = project(centroid)
-    if min(vec.dot(q, pt) for pt in points) <= 0.0:
-        raise HemisphereViolationError("points are not inside one open hemisphere")
-    for _ in range(max_iter):
-        grad = vec.ZERO
-        for w, pt in zip(weights, points):
-            grad = vec.axpy(w, _log_raw(q, pt), grad)
-        if vec.norm(grad) <= tol:
-            return q
-        q = exp_raw(q, grad)
-    raise NoConvergenceError(f"Frechet mean did not converge in {max_iter} iterations")
 
 
 STEPPERS: dict[SchemeId, Stepper] = {

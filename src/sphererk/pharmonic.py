@@ -27,9 +27,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .batch import check_arc, exp_rows, row_angle, row_dot, row_norm, slerp_rows, snapshot_steps
+from .geometry import HALF_PI
 from .integrators import tvdrk_step
-
-HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -111,16 +110,6 @@ def _velocity(m: np.ndarray, ds: float, p: float, eps_reg: float) -> np.ndarray:
     """Tangential part lap - (m . lap) m of the p-Laplacian at every node."""
     lap = _lap_rows(m, ds, p, eps_reg)
     return lap - row_dot(m, lap)[:, None] * m
-
-
-def pflow_rhs(curve: DirectorCurve, p: float, eps_reg: float = 1e-6) -> np.ndarray:
-    """Tangential flow velocity m x (Delta_p m x m) at every node.
-
-    For unit m the double cross product equals (I - m m^T) Delta_p m, which is
-    how it is evaluated; the factor ordering fixes the sign so that the
-    discrete p-energy decreases (the gradient-descent direction of the flow).
-    """
-    return _velocity(curve.m, curve.ds, p, eps_reg)
 
 
 def _exp_euler(flow: Tuple[float, float, float], q: np.ndarray, s: float, h: float) -> np.ndarray:

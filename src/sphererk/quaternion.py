@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import vec
 from .errors import AntipodalPointsError, LogBranchUndefinedError, ZeroQuaternionError
-from .geometry import UnitVector3, geodesic_distance
+from .geometry import ANTIPODAL_LIMIT, UnitVector3, geodesic_distance
 from .vec import Vec3
 
 NEAR_REAL = 1e-10
@@ -94,7 +94,7 @@ def quat_slerp(pa: UnitVector3, pb: UnitVector3, t: float) -> UnitVector3:
     The result is a pure quaternion up to rounding; its imaginary part is
     returned as the interpolated sphere point.
     """
-    if geodesic_distance(pa, pb) > math.pi - 1e-8:
+    if geodesic_distance(pa, pb) > ANTIPODAL_LIMIT:
         raise AntipodalPointsError("quaternion slerp endpoints are antipodal")
     qa = Quaternion(0.0, (pa[0], pa[1], pa[2]))
     qb = Quaternion(0.0, (pb[0], pb[1], pb[2]))

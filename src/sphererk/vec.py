@@ -46,8 +46,3 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
 
 def norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def triple(a: Vec3, b: Vec3, c: Vec3) -> float:
-    """Scalar triple product a . (b x c)."""
-    return dot(a, cross(b, c))

@@ -14,7 +14,7 @@ import pytest
 from conftest import seeded_unit_vectors
 from sphererk import eikonal, harness, pharmonic, vec
 from sphererk.baselines import BaselineId, baseline_stepper
-from sphererk.fields import rigid_rotation_field, rotate_about
+from sphererk.fields import rigid_rotation_field, rotate_about, stability_interval
 from sphererk.geometry import UnitVector3, geodesic_distance, slerp
 from sphererk.integrators import SchemeId, integrate_steps, stepper_for
 from sphererk.quaternion import quat_slerp
@@ -132,7 +132,8 @@ def test_c04_stability_thresholds():
         verdict = harness.run_stability(scheme, h, n_steps=500).verdict
         got[(scheme, h)] = verdict
         ok = ok and verdict == want
-    mu, residual = harness.mu_star_residual()
+    mu = stability_interval(3)
+    residual = mu**3 / 6.0 + mu**2 / 2.0 + mu + 2.0
     ok = ok and (-2.52 < mu < -2.50) and abs(residual) <= 1e-12
     announce(
         "criterion-4 (stability verdicts at h=1.99/2.01/2.51/2.52; mu* root check)",

@@ -8,6 +8,9 @@ from sphererk import vec
 from sphererk.baselines import (
     BASELINE_STEPPERS,
     ON_SPHERE,
+    RK2_TABLEAU,
+    RK3_TABLEAU,
+    RK4_TABLEAU,
     RK6_A,
     RK6_B,
     RK6_C,
@@ -209,12 +212,12 @@ def _density(tree):
     return size, size * gamma
 
 
-def _stage_weights(tree):
+def _stage_weights(tree, rows=EXACT_RK6_A):
     """Phi_i(tree) = prod over subtrees u of sum_j a_ij Phi_j(u)."""
-    phi = [F(1)] * len(EXACT_RK6_C)
+    phi = [F(1)] * len(rows)
     for child in tree:
-        sub = _stage_weights(child)
-        phi = [p * sum((a * s for a, s in zip(row, sub)), F(0)) for p, row in zip(phi, EXACT_RK6_A)]
+        sub = _stage_weights(child, rows)
+        phi = [p * sum((a * s for a, s in zip(row, sub)), F(0)) for p, row in zip(phi, rows)]
     return phi
 
 
@@ -225,6 +228,37 @@ def test_rk6_meets_all_37_order_conditions_up_to_six():
         _, gamma = _density(tree)
         weight = sum((b * p for b, p in zip(EXACT_RK6_B, _stage_weights(tree))), F(0))
         assert weight == F(1, gamma), tree
+
+
+# The RK2-4 baseline tableaux (c, A, b) in exact arithmetic, with their orders.
+EXACT_BASELINE_TABLEAUX = {
+    "rk2": (RK2_TABLEAU, 2, ((F(0), F(1)), ((), (F(1),)), (F(1, 2), F(1, 2)))),
+    "rk3": (RK3_TABLEAU, 3, ((F(0), F(1, 2), F(1)), ((), (F(1, 2),), (F(-1), F(2))),
+                             (F(1, 6), F(2, 3), F(1, 6)))),
+    "rk4": (RK4_TABLEAU, 4, ((F(0), F(1, 2), F(1, 2), F(1)),
+                             ((), (F(1, 2),), (F(0), F(1, 2)), (F(0), F(0), F(1))),
+                             (F(1, 6), F(1, 3), F(1, 3), F(1, 6)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BASELINE_TABLEAUX))
+def test_baseline_tableaux_meet_their_order_conditions(name):
+    tableau, order, (cs, rows, bs) = EXACT_BASELINE_TABLEAUX[name]
+    assert tableau == (tuple(map(float, cs)), tuple(tuple(map(float, r)) for r in rows),
+                       tuple(map(float, bs)))
+    for row, c in zip(rows, cs):
+        assert sum(row, F(0)) == c
+    trees = [t for n in range(1, order + 1) for t in _rooted_trees(n)]
+    assert len(trees) == (1, 2, 4, 8)[order - 1]
+    for tree in trees:
+        _, gamma = _density(tree)
+        weight = sum((b * p for b, p in zip(bs, _stage_weights(tree, rows))), F(0))
+        assert weight == F(1, gamma), tree
+    # and no order beyond: some tree of the next order fails its condition
+    assert any(
+        sum((b * p for b, p in zip(bs, _stage_weights(tree, rows))), F(0)) != F(1, _density(tree)[1])
+        for tree in _rooted_trees(order + 1)
+    )
 
 
 def test_rk6_uses_stage_times():

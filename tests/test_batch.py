@@ -74,6 +74,16 @@ def test_slerp_rows_rejects_nan_rows():
         slerp_rows(p, q, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_slerp_rows_rejects_infinite_rows(bad, t):
+    # 2 atan2(inf, inf) is finite, so the separation alone does not catch these
+    p, q = pairs_at(0.5)
+    q[3, 1] = bad
+    with pytest.raises(NonFiniteStateError), np.errstate(invalid="ignore"):
+        slerp_rows(p, q, t)
+
+
 def test_exp_rows_mixed_small_and_large_steps():
     p, d = frame(8)
     lengths = np.array([0.0, 1e-12, 1e-9, 5e-9, 1e-3, 0.5, 1.0, 2.0])

@@ -10,6 +10,7 @@ from sphererk.eikonal import (
     _rhs,
     _step_rows,
     COUPLED_SCHEMES,
+    CSV_CHUNK_ROWS,
     MODELS,
     VelocityModel,
     Wavefront,
@@ -274,6 +275,22 @@ def test_wavefront_csv_cells_are_round_trip_floats(tmp_path):
         [np.column_stack([np.full(8, f.t), np.arange(8), f.x, f.k, f.u]) for f in fronts]
     )
     assert np.array_equal(read_csv_floats(out), want)
+
+
+def test_wavefront_csv_chunks_match_whole_front_rows(tmp_path):
+    # more rays than two slices and not a multiple of the slice length
+    n = 2 * CSV_CHUNK_ROWS + 3
+    rng = np.random.default_rng(5)
+    fronts = [Wavefront(t=t, xs=XS, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)),
+                        u=np.full(n, t)) for t in (0.0, 0.1)]
+    out = tmp_path / "front.csv"
+    write_wavefronts_csv(out, fronts)
+    want = ["t,ray_index,x,y,z,kx,ky,kz,u\n"]
+    for f in fronts:
+        rows = zip(f.x.tolist(), f.k.tolist(), f.u.tolist())
+        want.extend(f"{f.t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}\n"
+                    for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows))
+    assert out.read_bytes() == "".join(want).encode("utf-8")
 
 
 # Ray 1 of 3 on y31 after 5 steps of pi/50 from e1, (x, k), recorded from

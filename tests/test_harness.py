@@ -15,7 +15,6 @@ from sphererk.harness import (
     AppendixAReport,
     appendix_a_coefficients,
     fit_order,
-    mu_star_residual,
     reference_endpoint,
     rotation_problem,
     run_convergence,
@@ -256,12 +255,6 @@ def test_appendix_b_report():
 def test_slerp_parity_report():
     rep = verify_slerp_parity(n_pairs=200, seed=4)
     assert rep.passed and rep.max_deviation <= 1e-12
-
-
-def test_mu_star():
-    mu, residual = mu_star_residual()
-    assert -2.52 < mu < -2.50
-    assert abs(residual) <= 1e-12
 
 
 def test_resolve_unknown_scheme():
