@@ -35,10 +35,6 @@ class VelocityField:
     params: Tuple = ()
 
 
-def _project_tangent(p: Vec3, v: Vec3) -> Vec3:
-    return vec.axpy(-vec.dot(p, v), p, v)
-
-
 VORTEX4_CENTERS: Tuple[UnitVector3, ...] = (
     project((1.0, -1.0, 1.0)),
     project((1.0, -1.0, -1.0)),
@@ -64,15 +60,24 @@ def vortex4_field(centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS) -> Velocit
     Raises NearPoleError when evaluated within 1e-12 of a vortex center,
     where the denominator degenerates.
     """
+    # Plain tuples: CPython's fast unpacking path takes exact tuples only.
+    unpacked = tuple((c[0], c[1], c[2]) for c in centers)
 
     def raw(p: Vec3, t: float) -> Vec3:
-        out = vec.ZERO
-        for c in centers:
-            d = 1.0 - vec.dot(c, p)
+        # vec.dot, vec.cross and vec.axpy written out, same operations in the
+        # same order, then the tangent projection -(p . out) p + out.
+        px, py, pz = p
+        ox = oy = oz = 0.0
+        for cx, cy, cz in unpacked:
+            d = 1.0 - (cx * px + cy * py + cz * pz)
             if d < POLE_GUARD:
                 raise NearPoleError(f"field evaluated at distance {d!r} from a vortex center")
-            out = vec.axpy(0.5 / d, vec.cross(c, p), out)
-        return _project_tangent(p, out)
+            s = 0.5 / d
+            ox = s * (cy * pz - cz * py) + ox
+            oy = s * (cz * px - cx * pz) + oy
+            oz = s * (cx * py - cy * px) + oz
+        k = -(px * ox + py * oy + pz * oz)
+        return (k * px + ox, k * py + oy, k * pz + oz)
 
     return VelocityField(raw, autonomous=True, name="vortex4", params=tuple(centers))
 
@@ -101,19 +106,21 @@ def rotate_about(omega: Vec3, p: Vec3, t: float) -> UnitVector3:
     return UnitVector3(*vec.add(vec.add(term1, term2), term3))
 
 
-def matvec(m: Matrix3, v: Vec3) -> Vec3:
-    return (vec.dot(m[0], v), vec.dot(m[1], v), vec.dot(m[2], v))
-
-
 def projected_linear_field(m: Matrix3) -> VelocityField:
     """Sphere-projected linear flow g(q) = (I - q q^T) M q.
 
     Every eigenvector of M (and its antipode) is an equilibrium of g.
     """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
 
     def raw(q: Vec3, t: float) -> Vec3:
-        mq = matvec(m, q)
-        return vec.axpy(-vec.dot(q, mq), q, mq)
+        # M q row by row, then -(q . Mq) q + Mq, in vec.dot/vec.axpy order.
+        qx, qy, qz = q
+        ax = m00 * qx + m01 * qy + m02 * qz
+        ay = m10 * qx + m11 * qy + m12 * qz
+        az = m20 * qx + m21 * qy + m22 * qz
+        k = -(qx * ax + qy * ay + qz * az)
+        return (k * qx + ax, k * qy + ay, k * qz + az)
 
     return VelocityField(raw, autonomous=True, name="projected-linear", params=tuple(map(tuple, m)))
 

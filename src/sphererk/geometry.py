@@ -36,9 +36,6 @@ class UnitVector3(NamedTuple):
     z: float
 
 
-E1 = UnitVector3(1.0, 0.0, 0.0)
-
-
 def project(v: Vec3) -> UnitVector3:
     """Closest-point projection v/|v| onto the sphere.
 
@@ -49,12 +46,13 @@ def project(v: Vec3) -> UnitVector3:
     NonFiniteStateError
         If |v| is NaN or infinite.
     """
-    n = vec.norm(v)
+    x, y, z = v
+    n = math.sqrt(x * x + y * y + z * z)
     if not (1e-300 <= n < math.inf):
         if n < 1e-300:
             raise ZeroVectorError("cannot project a zero vector onto the sphere")
         raise NonFiniteStateError(f"cannot project a vector of norm {n!r} onto the sphere")
-    return UnitVector3(v[0] / n, v[1] / n, v[2] / n)
+    return UnitVector3(x / n, y / n, z / n)
 
 
 def unit_vector(x: float, y: float, z: float, tol: float = UNIT_NORM_TOL) -> UnitVector3:
@@ -71,22 +69,25 @@ def geodesic_distance(p: Vec3, q: Vec3) -> float:
     Evaluated as atan2(|p x q|, p . q), which equals arccos(clamp(p . q, -1, 1))
     but stays well conditioned near 0 and pi.
     """
-    return math.atan2(vec.norm(vec.cross(p, q)), vec.dot(p, q))
+    px, py, pz = p
+    qx, qy, qz = q
+    cx = py * qz - pz * qy
+    cy = pz * qx - px * qz
+    cz = px * qy - py * qx
+    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), px * qx + py * qy + pz * qz)
 
 
 def exp_raw(p: Vec3, s: Vec3) -> UnitVector3:
     """Exponential map at ``p`` applied to a tangent 3-vector, no tangency check."""
-    n = vec.norm(s)
+    sx, sy, sz = s
+    n = math.sqrt(sx * sx + sy * sy + sz * sz)
     if n < SMALL_ANGLE:
         sinc = 1.0 - n * n / 6.0
     else:
         sinc = math.sin(n) / n
     c = math.cos(n)
-    return UnitVector3(
-        c * p[0] + sinc * s[0],
-        c * p[1] + sinc * s[1],
-        c * p[2] + sinc * s[2],
-    )
+    px, py, pz = p
+    return UnitVector3(c * px + sinc * sx, c * py + sinc * sy, c * pz + sinc * sz)
 
 
 def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:

@@ -28,7 +28,7 @@ from .fields import (
     rigid_rotation_field,
     vortex4_field,
 )
-from .geometry import E1, UnitVector3, geodesic_distance, project, slerp
+from .geometry import UnitVector3, geodesic_distance, project, slerp
 from .integrators import SchemeId, integrate_steps, stepper_for
 from .quaternion import quat_slerp
 from .vec import Vec3
@@ -266,6 +266,18 @@ class StabilityRun:
     verdict: str  # "converged" | "diverged"
 
 
+def _attractor_distance(p: Vec3) -> float:
+    """Arc length from p to the nearer of the poles +-e1.
+
+    p x (+-e1) = (0, +-p_z, -+p_y) and p . (+-e1) = +-p_x, so for finite p
+    this is min(geodesic_distance(p, e1), geodesic_distance(p, -e1)) bit for
+    bit.  (An infinite coordinate gives a finite value here where that gives
+    NaN; every step rejects such a point with NonFiniteStateError.)
+    """
+    px, py, pz = p
+    return math.atan2(math.sqrt(pz * pz + py * py), abs(px))
+
+
 def run_stability(
     scheme: Union[str, AnyScheme],
     h: float,
@@ -282,15 +294,10 @@ def run_stability(
     step = scheme_stepper(scheme)
     f = projected_linear_field(STABILITY_MATRIX)
     x: Vec3 = q0 if q0 is not None else project((1.0, 1.0, 1.0))
-    neg_e1 = UnitVector3(-1.0, 0.0, 0.0)
-
-    def attractor_distance(p: Vec3) -> float:
-        return min(geodesic_distance(p, E1), geodesic_distance(p, neg_e1))
-
-    distances = [attractor_distance(x)]
+    distances = [_attractor_distance(x)]
     for i in range(n_steps):
         x = step(f, x, i * h, h)
-        distances.append(attractor_distance(x))
+        distances.append(_attractor_distance(x))
     verdict = "converged" if distances[-1] < CONVERGENCE_CUTOFF else "diverged"
     return StabilityRun(scheme.value, h, n_steps, tuple(distances), verdict)
 
@@ -526,7 +533,8 @@ def write_orders_json(path: Union[str, Path], reports: Iterable[ConvergenceRepor
 
 
 def write_stability_csv(path: Union[str, Path], run: StabilityRun) -> None:
+    prefix = f"{run.scheme},{run.h!r},"
     lines = ["scheme,h,step,distance"]
     for i, d in enumerate(run.distances):
-        lines.append(f"{run.scheme},{run.h!r},{i},{d!r}")
+        lines.append(f"{prefix}{i},{d!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -56,14 +56,15 @@ class SchemeId(str, Enum):
 
 def _advance(p: Vec3, v: Vec3, eff_h: float, limit: float) -> UnitVector3:
     """One exp-map substep exp_p(eff_h * v), guarding the stage arc length."""
-    arc = abs(eff_h) * vec.norm(v)
+    vx, vy, vz = v
+    arc = abs(eff_h) * math.sqrt(vx * vx + vy * vy + vz * vz)
     if not (arc < limit):
         if not math.isfinite(arc):
             raise NonFiniteStateError(f"stage arc {arc!r} is not finite")
         raise StepTooLargeError(
             f"stage arc {arc!r} exceeds the interpolation bound {limit!r}"
         )
-    return exp_raw(p, vec.scale(v, eff_h))
+    return exp_raw(p, (vx * eff_h, vy * eff_h, vz * eff_h))
 
 
 def _require_autonomous(f: VelocityField, scheme: str) -> None:

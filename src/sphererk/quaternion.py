@@ -11,7 +11,12 @@ import math
 from typing import NamedTuple
 
 from . import vec
-from .errors import AntipodalPointsError, LogBranchUndefinedError, ZeroQuaternionError
+from .errors import (
+    AntipodalPointsError,
+    LogBranchUndefinedError,
+    NonFiniteStateError,
+    ZeroQuaternionError,
+)
 from .geometry import ANTIPODAL_LIMIT, UnitVector3, geodesic_distance
 from .vec import Vec3
 
@@ -92,9 +97,13 @@ def quat_slerp(pa: UnitVector3, pb: UnitVector3, t: float) -> UnitVector3:
     """SLERP via qa (qa^-1 qb)^t on the pure-quaternion embedding (0, p).
 
     The result is a pure quaternion up to rounding; its imaginary part is
-    returned as the interpolated sphere point.
+    returned as the interpolated sphere point.  Raises NonFiniteStateError for
+    a NaN separation (a NaN or infinite coordinate), as geometry.slerp does.
     """
-    if geodesic_distance(pa, pb) > ANTIPODAL_LIMIT:
+    omega = geodesic_distance(pa, pb)
+    if not (omega <= ANTIPODAL_LIMIT):
+        if math.isnan(omega):
+            raise NonFiniteStateError("quaternion slerp endpoints are not finite")
         raise AntipodalPointsError("quaternion slerp endpoints are antipodal")
     qa = Quaternion(0.0, (pa[0], pa[1], pa[2]))
     qb = Quaternion(0.0, (pb[0], pb[1], pb[2]))

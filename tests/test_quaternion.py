@@ -8,6 +8,7 @@ from sphererk import vec
 from sphererk.errors import (
     AntipodalPointsError,
     LogBranchUndefinedError,
+    NonFiniteStateError,
     ZeroQuaternionError,
 )
 from sphererk.geometry import UnitVector3, geodesic_distance, slerp
@@ -144,6 +145,14 @@ def test_quat_slerp_midpoint():
 def test_quat_slerp_antipodal_rejected():
     with pytest.raises(AntipodalPointsError):
         quat_slerp(UnitVector3(0.0, 0.0, 1.0), UnitVector3(0.0, 0.0, -1.0), 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quat_slerp_non_finite_endpoint_rejected(bad):
+    with pytest.raises(NonFiniteStateError):
+        quat_slerp((bad, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), 0.5)
+    with pytest.raises(NonFiniteStateError):
+        quat_slerp(UnitVector3(0.0, 1.0, 0.0), (0.0, 0.0, bad), 0.5)
 
 
 def test_quat_slerp_scalar_part_vanishes():
