@@ -14,15 +14,23 @@ stages in lock step: ``integrators.tvdrk_step`` runs on the pair (x, k).
 Projected and unprojected Cartesian variants of the x-update are provided
 for comparison runs.
 
-All rays march together as (n, 3) arrays; rays are independent.
+Rays are independent: ``trace_wavefront`` cuts the fan into blocks of
+RAY_BLOCK rows, marches each block as (n, 3) arrays through every step, and
+runs the blocks on a thread pool sized by the usable CPUs (numpy releases the
+interpreter lock inside its loops).  Each row's arithmetic is that of a
+one-block march, so the fronts are bit-identical whatever the block count and
+worker count; an error in any block is reported as the one-block march
+reports it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from functools import partial
+from itertools import repeat
+from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -138,10 +146,16 @@ def _rhs(model: VelocityModel, x: np.ndarray, k: np.ndarray):
     f2 = v^2 (x.k)/|x| [k - (x.k)/|x| x] - grad(v)/v."""
     v = model.v(x)[..., None]
     v2 = v * v
-    xk = (row_dot(x, k) / row_norm(x))[..., None]
-    bracket = k - xk * x
+    xk = row_dot(x, k)
+    xk /= row_norm(x)
+    xk = xk[..., None]
+    bracket = xk * x
+    np.subtract(k, bracket, out=bracket)
     f1 = v2 * bracket
-    f2 = (v2 * xk) * bracket - model.grad_v(x) / v
+    # the bracket array becomes f2; products commute bit for bit
+    f2 = bracket
+    f2 *= v2 * xk
+    f2 -= model.grad_v(x) / v
     return f1, f2
 
 
@@ -175,7 +189,9 @@ def _axpy_pair(model: VelocityModel, y, s: float, h: float):
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
-    return (1.0 - w) * a + w * b
+    out = (1.0 - w) * a
+    out += w * b
+    return out
 
 
 def _slerp_pair(a, b, w: float):
@@ -239,6 +255,19 @@ def initial_rays(model: VelocityModel, xs: UnitVector3, n_rays: int):
     return x0, dirs / v0
 
 
+# Rays per block of the march.  Blocks step independently, on as many threads
+# as there are usable CPUs, and a block's temporaries stay small enough for
+# the cache.
+RAY_BLOCK = 16384
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def trace_wavefront(
     model: VelocityModel,
     xs: UnitVector3,
@@ -253,26 +282,50 @@ def trace_wavefront(
 
     ``snapshot_times`` must lie on the step grid (multiples of h); by default
     only the final time is recorded.  ``order`` is shorthand for the
-    sphere-intrinsic scheme of that order.
+    sphere-intrinsic scheme of that order.  The rays march in blocks of
+    RAY_BLOCK rows on up to one thread per usable CPU, so the model's ``v``
+    and ``grad_v`` may run on several threads at once.
     """
     if order is not None:
         scheme = scheme_for_order(order)
     if scheme not in COUPLED_SCHEMES:
         raise ValueError(f"unknown coupled scheme {scheme!r}")
     n_steps, want = snapshot_steps(h, t_final, snapshot_times)
-    x, k = initial_rays(model, xs, n_rays)
-    fronts: List[Wavefront] = []
+    x0, k0 = initial_rays(model, xs, n_rays)
+    snaps = sorted(i for i in want if 0 <= i <= n_steps)
+    front_x = {i: np.empty_like(x0) for i in snaps}
+    front_k = {i: np.empty_like(k0) for i in snaps}
 
-    def emit(i: int) -> None:
-        fronts.append(Wavefront(t=i * h, xs=xs, x=x.copy(), k=k.copy(), u=np.full(n_rays, i * h)))
+    def march(rows: slice) -> None:
+        x, k = x0[rows], k0[rows]
+        for i in range(n_steps + 1):
+            if i:
+                x, k = _step_rows(scheme, model, x, k, h)
+            if i in front_x:
+                front_x[i][rows] = x
+                front_k[i][rows] = k
 
-    if 0 in want:
-        emit(0)
-    for i in range(1, n_steps + 1):
-        x, k = _step_rows(scheme, model, x, k, h)
-        if i in want:
-            emit(i)
-    return fronts
+    blocks = [slice(j, j + RAY_BLOCK) for j in range(0, n_rays, RAY_BLOCK)]
+    workers = min(_usable_cpus(), len(blocks))
+    try:
+        if workers == 1:
+            for rows in blocks:
+                march(rows)
+        else:
+            # imported here: concurrent.futures loads logging, which every
+            # other command importing this module would pay for
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(march, blocks))
+    except Exception:
+        if len(blocks) == 1:
+            raise
+        # A block reports its own first failure (a stage arc is the block's
+        # maximum); march all rows as one block to raise what that reports.
+        march(slice(None))
+    return [Wavefront(t=i * h, xs=xs, x=front_x[i], k=front_k[i], u=np.full(n_rays, i * h))
+            for i in snaps]
 
 
 def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -> float:
@@ -301,17 +354,29 @@ def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -
 CSV_CHUNK_ROWS = 4096
 
 
+def _u_cells(u: np.ndarray):
+    """The u cells of a non-empty slice: one repr when every u has the same bit
+    pattern (0.0 == -0.0 and NaN != NaN rule out comparing values)."""
+    values = u.tolist()
+    bits = np.ascontiguousarray(u).view(np.uint8).reshape(len(u), -1)
+    if (bits == bits[0]).all():
+        return repeat(repr(values[0]))
+    return map(repr, values)
+
+
 def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) -> None:
-    """Write every front's rows, streamed in slices of CSV_CHUNK_ROWS rays."""
+    """Write every front's rows, streamed in slices of CSV_CHUNK_ROWS rays.
+
+    Cells are formatted column by column; .tolist() yields Python floats,
+    whose repr is the shortest round trip.
+    """
     with open(path, "w", encoding="utf-8") as out:
         out.write("t,ray_index,x,y,z,kx,ky,kz,u\n")
         for front in fronts:
-            t = float(front.t)
+            t = repr(float(front.t))
             for j0 in range(0, len(front.u), CSV_CHUNK_ROWS):
                 j1 = j0 + CSV_CHUNK_ROWS
-                # .tolist() yields Python floats, whose repr is the shortest round trip
-                rows = zip(front.x[j0:j1].tolist(), front.k[j0:j1].tolist(), front.u[j0:j1].tolist())
-                out.writelines(
-                    f"{t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}\n"
-                    for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows, j0)
-                )
+                coords = front.x[j0:j1].T.tolist() + front.k[j0:j1].T.tolist()
+                rows = zip(repeat(t), map(str, range(j0, j1)), *(map(repr, c) for c in coords),
+                           _u_cells(front.u[j0:j1]))
+                out.writelines(",".join(row) + "\n" for row in rows)

@@ -56,9 +56,12 @@ def project(v: Vec3) -> UnitVector3:
 
 
 def unit_vector(x: float, y: float, z: float, tol: float = UNIT_NORM_TOL) -> UnitVector3:
-    """Construct a UnitVector3, rejecting inputs whose norm is off unity by more than tol."""
+    """Construct a UnitVector3, rejecting inputs whose norm is off unity by more than tol.
+
+    A NaN or infinite coordinate fails the test too.
+    """
     n = math.sqrt(x * x + y * y + z * z)
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:
         raise ValueError(f"norm {n!r} deviates from 1 by more than {tol}")
     return UnitVector3(x, y, z)
 

@@ -288,12 +288,15 @@ def run_stability(
 
     The model matrix diag(1/2, -1/2, -1/2) makes both poles +-e1 attractors
     with eigenvalue gap sigma = -1, so the step size h plays the role of
-    sigma*h in the absolute-stability interval.
+    sigma*h in the absolute-stability interval.  A start point with a NaN or
+    infinite coordinate raises NonFiniteStateError, whatever ``n_steps``.
     """
     scheme = resolve_scheme(scheme)
     step = scheme_stepper(scheme)
     f = projected_linear_field(STABILITY_MATRIX)
     x: Vec3 = q0 if q0 is not None else project((1.0, 1.0, 1.0))
+    if not all(map(math.isfinite, x)):
+        raise NonFiniteStateError(f"stability start point {tuple(x)!r} is not finite")
     distances = [_attractor_distance(x)]
     for i in range(n_steps):
         x = step(f, x, i * h, h)

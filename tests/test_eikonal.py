@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import read_csv_floats, seeded_unit_vectors
-from sphererk import vec
+from sphererk import eikonal, vec
 from sphererk.batch import exp_rows, slerp_rows
 from sphererk.eikonal import (
     _rhs,
@@ -12,6 +13,7 @@ from sphererk.eikonal import (
     COUPLED_SCHEMES,
     CSV_CHUNK_ROWS,
     MODELS,
+    RAY_BLOCK,
     VelocityModel,
     Wavefront,
     constant_model,
@@ -281,8 +283,13 @@ def test_wavefront_csv_chunks_match_whole_front_rows(tmp_path):
     # more rays than two slices and not a multiple of the slice length
     n = 2 * CSV_CHUNK_ROWS + 3
     rng = np.random.default_rng(5)
-    fronts = [Wavefront(t=t, xs=XS, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)),
-                        u=np.full(n, t)) for t in (0.0, 0.1)]
+    signed_zeros = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
+    with_nan = np.full(n, 0.3)
+    with_nan[::7] = math.nan
+    with_nan[CSV_CHUNK_ROWS:2 * CSV_CHUNK_ROWS] = math.nan  # one slice NaN throughout
+    us = [np.full(n, 0.0), np.full(n, 0.1), rng.standard_normal(n), signed_zeros, with_nan]
+    fronts = [Wavefront(t=0.1 * i, xs=XS, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)),
+                        u=u) for i, u in enumerate(us)]
     out = tmp_path / "front.csv"
     write_wavefronts_csv(out, fronts)
     want = ["t,ray_index,x,y,z,kx,ky,kz,u\n"]
@@ -291,6 +298,71 @@ def test_wavefront_csv_chunks_match_whole_front_rows(tmp_path):
         want.extend(f"{f.t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}\n"
                     for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows))
     assert out.read_bytes() == "".join(want).encode("utf-8")
+
+
+def _one_block_march(scheme, model, n_rays, h, n_steps):
+    """Every ray stepped as one block, front by front: the reference for the block march."""
+    x, k = initial_rays(model, XS, n_rays)
+    fronts = [(x, k)]
+    for _ in range(n_steps):
+        x, k = _step_rows(scheme, model, x, k, h)
+        fronts.append((x, k))
+    return fronts
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("scheme", ["sfe", "stvdrk2", "stvdrk3", "ptvdrk3"])
+def test_block_march_is_bit_identical_to_one_block(monkeypatch, scheme, cpus):
+    # two full blocks and a short one; three workers may outnumber the cores,
+    # and a short switch interval interleaves them finely
+    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: cpus)
+    n, h = 2 * RAY_BLOCK + 5, math.pi / 50
+    model = y31_model()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        fronts = trace_wavefront(model, XS, n, h, 2 * h, scheme=scheme, snapshot_times=[0.0, h, 2 * h])
+    finally:
+        sys.setswitchinterval(interval)
+    want = _one_block_march(scheme, model, n, h, 2)
+    assert len(fronts) == len(want)
+    for front, (x, k) in zip(fronts, want):
+        assert np.array_equal(front.x, x) and np.array_equal(front.k, k)
+
+
+def _blockwise_failing_model(nan_from, fast_from):
+    """Unit speed, except past geodesic distance ``nan_from`` from XS a NaN speed
+    on the last block's rays, and past ``fast_from`` speed 50 on the first
+    block's rays and 60 on the second's (n = 2 RAY_BLOCK + 5 from XS = e1).
+
+    Ray j leaves along azimuth 2 pi j / n about e1, which unit speed keeps."""
+
+    def v(x):
+        dist = np.arctan2(np.hypot(x[..., 1], x[..., 2]), x[..., 0])
+        az = np.arctan2(x[..., 2], x[..., 1])
+        out = np.ones(x.shape[:-1])
+        fast = dist > fast_from
+        out[fast & (az > 0.5) & (az < 2.5)] = 50.0
+        out[fast & (az < -0.5) & (az > -2.5)] = 60.0
+        out[(dist > nan_from) & (az < 0.0) & (az > -1.05e-3)] = math.nan
+        return out
+
+    return VelocityModel("blockwise", v=v, grad_v=lambda x: np.zeros_like(x))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("nan_from,fast_from", [(0.15, 0.35), (0.35, 0.15)])
+def test_block_march_errors_match_one_block(monkeypatch, cpus, nan_from, fast_from):
+    # Each block alone fails otherwise: a NaN speed in the last block, too-large
+    # arcs in the first two, at different steps or with a different largest arc.
+    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: cpus)
+    model = _blockwise_failing_model(nan_from, fast_from)
+    n, h = 2 * RAY_BLOCK + 5, 0.1
+    with pytest.raises((NonFiniteStateError, StepTooLargeError)) as want:
+        _one_block_march("stvdrk3", model, n, h, 5)
+    with pytest.raises(want.type) as got:
+        trace_wavefront(model, XS, n, h, 5 * h, scheme="stvdrk3")
+    assert str(got.value) == str(want.value)
 
 
 # Ray 1 of 3 on y31 after 5 steps of pi/50 from e1, (x, k), recorded from

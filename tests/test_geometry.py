@@ -31,6 +31,15 @@ def test_unit_vector_rejects_off_sphere():
     assert unit_vector(0.0, 1.0, 0.0) == UnitVector3(0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit_vector_rejects_non_finite(bad):
+    # abs(nan - 1) > tol is False: the test must be written so NaN fails it
+    with pytest.raises(ValueError):
+        unit_vector(bad, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        unit_vector(0.0, 1.0, bad)
+
+
 @pytest.mark.parametrize(
     "p,q,expected",
     [

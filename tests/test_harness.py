@@ -222,6 +222,13 @@ def test_stability_diverged_verdict():
     assert run.verdict == "diverged"
 
 
+@pytest.mark.parametrize("n_steps", [0, 1, 5])
+@pytest.mark.parametrize("q0", [(math.inf, 0.0, 0.0), (0.0, math.nan, 1.0), (0.0, 0.0, -math.inf)])
+def test_stability_rejects_non_finite_start(q0, n_steps):
+    with pytest.raises(NonFiniteStateError):
+        run_stability("sfe", 0.1, n_steps, q0)
+
+
 def test_appendix_a_report():
     rep = verify_appendix_a()
     assert isinstance(rep, AppendixAReport)
