@@ -6,7 +6,6 @@ from .errors import (
     DegenerateFrontError,
     LogBranchUndefinedError,
     NearPoleError,
-    NonAutonomousFieldError,
     NonFiniteStateError,
     NonPositiveError,
     ReferenceUnavailableError,

@@ -8,11 +8,12 @@ H(x, k) = (v(x)^2 [|k|^2 - (k . x/|x|)^2] - 1) / 2 form the coupled system
     u' = 1,
 
 with x on the sphere, k the ray direction grad(u) in R^3, and u the travel
-time (phase).  Positions are stepped with the sphere-intrinsic schemes of the
-matching order while k is stepped with the corresponding Cartesian TVDRK
-stages in lock step: ``integrators.tvdrk_step`` runs on the pair (x, k).
-Projected and unprojected Cartesian variants of the x-update are provided
-for comparison runs.
+time (phase).  u' = 1 gives u = t on every ray, so a front stores only t and
+the CSV's u column repeats it.  Positions are stepped with the
+sphere-intrinsic schemes of the matching order while k is stepped with the
+corresponding Cartesian TVDRK stages in lock step: ``integrators.tvdrk_step``
+runs on the pair (x, k).  Projected and unprojected Cartesian variants of the
+x-update are provided for comparison runs.
 
 Rays are independent: ``trace_wavefront`` cuts the fan into blocks of
 RAY_BLOCK rows, marches each block as (n, 3) arrays through every step, and
@@ -132,13 +133,12 @@ MODELS = {
 
 @dataclass(frozen=True)
 class Wavefront:
-    """Snapshot of all rays at a common phase value."""
+    """Snapshot of all rays at the common phase value u = t."""
 
     t: float
     xs: UnitVector3
     x: np.ndarray  # (n, 3) ray positions
     k: np.ndarray  # (n, 3) ray directions
-    u: np.ndarray  # (n,) phases, all equal to t
 
 
 def _rhs(model: VelocityModel, x: np.ndarray, k: np.ndarray):
@@ -275,19 +275,15 @@ def trace_wavefront(
     h: float,
     t_final: float,
     scheme: str = "stvdrk3",
-    order: Optional[int] = None,
     snapshot_times: Optional[Sequence[float]] = None,
 ) -> List[Wavefront]:
     """March a fan of rays from a point source and snapshot the wavefront.
 
     ``snapshot_times`` must lie on the step grid (multiples of h); by default
-    only the final time is recorded.  ``order`` is shorthand for the
-    sphere-intrinsic scheme of that order.  The rays march in blocks of
+    only the final time is recorded.  The rays march in blocks of
     RAY_BLOCK rows on up to one thread per usable CPU, so the model's ``v``
     and ``grad_v`` may run on several threads at once.
     """
-    if order is not None:
-        scheme = scheme_for_order(order)
     if scheme not in COUPLED_SCHEMES:
         raise ValueError(f"unknown coupled scheme {scheme!r}")
     n_steps, want = snapshot_steps(h, t_final, snapshot_times)
@@ -324,8 +320,7 @@ def trace_wavefront(
         # A block reports its own first failure (a stage arc is the block's
         # maximum); march all rows as one block to raise what that reports.
         march(slice(None))
-    return [Wavefront(t=i * h, xs=xs, x=front_x[i], k=front_k[i], u=np.full(n_rays, i * h))
-            for i in snaps]
+    return [Wavefront(t=i * h, xs=xs, x=front_x[i], k=front_k[i]) for i in snaps]
 
 
 def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -> float:
@@ -354,29 +349,18 @@ def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -
 CSV_CHUNK_ROWS = 4096
 
 
-def _u_cells(u: np.ndarray):
-    """The u cells of a non-empty slice: one repr when every u has the same bit
-    pattern (0.0 == -0.0 and NaN != NaN rule out comparing values)."""
-    values = u.tolist()
-    bits = np.ascontiguousarray(u).view(np.uint8).reshape(len(u), -1)
-    if (bits == bits[0]).all():
-        return repeat(repr(values[0]))
-    return map(repr, values)
-
-
 def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) -> None:
     """Write every front's rows, streamed in slices of CSV_CHUNK_ROWS rays.
 
     Cells are formatted column by column; .tolist() yields Python floats,
-    whose repr is the shortest round trip.
+    whose repr is the shortest round trip.  The u cell is the front's t cell.
     """
     with open(path, "w", encoding="utf-8") as out:
         out.write("t,ray_index,x,y,z,kx,ky,kz,u\n")
         for front in fronts:
             t = repr(float(front.t))
-            for j0 in range(0, len(front.u), CSV_CHUNK_ROWS):
+            for j0 in range(0, len(front.x), CSV_CHUNK_ROWS):
                 j1 = j0 + CSV_CHUNK_ROWS
                 coords = front.x[j0:j1].T.tolist() + front.k[j0:j1].T.tolist()
-                rows = zip(repeat(t), map(str, range(j0, j1)), *(map(repr, c) for c in coords),
-                           _u_cells(front.u[j0:j1]))
+                rows = zip(repeat(t), map(str, range(j0, j1)), *(map(repr, c) for c in coords), repeat(t))
                 out.writelines(",".join(row) + "\n" for row in rows)

@@ -17,10 +17,6 @@ class StepTooLargeError(SphereRKError, ValueError):
     """A stage arc length h*|f| exceeds the bound that keeps SLERP on the minor arc."""
 
 
-class NonAutonomousFieldError(SphereRKError, ValueError):
-    """A stepper that evaluates every stage at the step's start time got a time-dependent field."""
-
-
 class NonFiniteStateError(SphereRKError, ArithmeticError):
     """A state, velocity or error value is NaN or infinite, so no guard can vouch for it."""
 

@@ -24,13 +24,13 @@ class VelocityField:
     """A tangent velocity field f(p, t) on the unit sphere.
 
     ``raw`` evaluates at an on-sphere point and returns the tangent 3-vector
-    (already projected onto the tangent plane).  ``params`` holds the
+    (already projected onto the tangent plane).  It may depend on t: every
+    stepper evaluates it at its stages' own times.  ``params`` holds the
     hashable values defining ``raw`` (vortex centres, rotation, matrix), so
     caches key on the field.
     """
 
     raw: Callable[[Vec3, float], Vec3]
-    autonomous: bool = True
     name: str = ""
     params: Tuple = ()
 
@@ -79,7 +79,7 @@ def vortex4_field(centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS) -> Velocit
         k = -(px * ox + py * oy + pz * oz)
         return (k * px + ox, k * py + oy, k * pz + oz)
 
-    return VelocityField(raw, autonomous=True, name="vortex4", params=tuple(centers))
+    return VelocityField(raw, name="vortex4", params=tuple(centers))
 
 
 def rigid_rotation_field(omega: Vec3) -> VelocityField:
@@ -88,7 +88,7 @@ def rigid_rotation_field(omega: Vec3) -> VelocityField:
     def raw(p: Vec3, t: float) -> Vec3:
         return vec.cross(omega, p)
 
-    return VelocityField(raw, autonomous=True, name="rotation", params=tuple(omega))
+    return VelocityField(raw, name="rotation", params=tuple(omega))
 
 
 def rotate_about(omega: Vec3, p: Vec3, t: float) -> UnitVector3:
@@ -122,7 +122,7 @@ def projected_linear_field(m: Matrix3) -> VelocityField:
         k = -(qx * ax + qy * ay + qz * az)
         return (k * qx + ax, k * qy + ay, k * qz + az)
 
-    return VelocityField(raw, autonomous=True, name="projected-linear", params=tuple(map(tuple, m)))
+    return VelocityField(raw, name="projected-linear", params=tuple(map(tuple, m)))
 
 
 def diag(d1: float, d2: float, d3: float) -> Matrix3:

@@ -9,17 +9,22 @@ stage and every output on the unit sphere by construction:
 * ``stvdrk3_step``   - three exp-map stages + two SLERPs, third order
 * ``stvdrk4_step``, ``ssprk54_step``, ``ssprk104_step`` - four-stage-order
   candidates; their observed convergence tops out at third order (second with
-  the projected-average combination), which the benchmark harness documents.
+  the projected-average combination of ``ssprk104_frechet_step``), which the
+  benchmark harness documents.
+
+The same construction fixes each stage's time: an exp-map substep with
+coefficient beta from a point at time c lands at c + beta, and
+SLERP(a, b, w) lands at (1 - w) c_a + w c_b.  Every stepper evaluates its
+stages at these times, written as literals in ``f.raw(q, t + c*h)``.
 
 ``tvdrk_step`` holds the Shu-Osher stage structure of TVDRK1-3 once; the
 sphere steppers here, the Cartesian baselines and the eikonal and p-harmonic
-row steppers run it with their own substep and combination.  The
-fourth-order candidates evaluate every stage at the step's start time, so
-they raise NonAutonomousFieldError on time-dependent fields.
+row steppers run it with their own substep and combination.
 
 Scheme coefficients for the fourth-order candidates are embedded verbatim as
 15-digit decimals; their rounding is the source of the ~1e-10 accuracy floor
-the harness measures for the five-stage scheme.
+the harness measures for the five-stage scheme, whose output lands at
+t + (1 - 8.8e-11) h.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from enum import Enum
 from typing import Callable, Sequence, Tuple
 
 from . import vec
-from .errors import NonAutonomousFieldError, NonFiniteStateError, SphereRKError, StepTooLargeError
+from .errors import NonFiniteStateError, SphereRKError, StepTooLargeError
 from .fields import VelocityField
 from .geometry import HALF_PI, UnitVector3, exp_raw, project, slerp
 from .vec import Vec3
@@ -65,15 +70,6 @@ def _advance(p: Vec3, v: Vec3, eff_h: float, limit: float) -> UnitVector3:
             f"stage arc {arc!r} exceeds the interpolation bound {limit!r}"
         )
     return exp_raw(p, (vx * eff_h, vy * eff_h, vz * eff_h))
-
-
-def _require_autonomous(f: VelocityField, scheme: str) -> None:
-    """Reject time-dependent fields in steppers that evaluate every stage at t."""
-    if not f.autonomous:
-        raise NonAutonomousFieldError(
-            f"{scheme} evaluates every stage at the step's start time "
-            f"and needs an autonomous field"
-        )
 
 
 def tvdrk_step(order: int, euler, combine, f, x, t: float, h: float):
@@ -122,22 +118,24 @@ def stvdrk3_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
 
 
 def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """Ten-exp-map, six-SLERP fourth-order candidate (observed order ~3)."""
-    _require_autonomous(f, "stvdrk4")
+    """Ten-exp-map, six-SLERP fourth-order candidate (observed order ~3).
+
+    Its four field evaluations sit at t, t + h/2, t + h/2 and t + h.
+    """
     fp = f.raw(p, t)
     q1 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
-    fq1 = f.raw(q1, t)
+    fq1 = f.raw(q1, t + 0.5 * h)
     q20 = _advance(p, fp, -1.065687335761845 * h, HALF_PI)
     q21 = _advance(q1, fq1, 1.068486941019387 * h, HALF_PI)
     q2 = slerp(q20, q21, 0.594375000000000)
     q30 = _advance(p, fp, -0.947054029524533 * h, HALF_PI)
     q31 = _advance(q1, fq1, -1.065495848810696 * h, HALF_PI)
-    q32 = _advance(q2, f.raw(q2, t), 1.066666666666667 * h, HALF_PI)
+    q32 = _advance(q2, f.raw(q2, t + 0.5 * h), 1.066666666666667 * h, HALF_PI)
     r31 = slerp(q30, q31, 0.917544541224197)
     q3 = slerp(r31, q32, 0.738093750000000)
     q40 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
     q41 = _advance(q1, fq1, 0.816060062020566 * h, HALF_PI)
-    q43 = _advance(q3, f.raw(q3, t), 0.500000000000000 * h, HALF_PI)
+    q43 = _advance(q3, f.raw(q3, t + h), 0.500000000000000 * h, HALF_PI)
     r41 = slerp(q40, q41, 0.505236249690773)
     r42 = slerp(r41, q2, 0.393650000000000)
     return slerp(r42, q43, 0.333333333333333)
@@ -146,68 +144,57 @@ def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
 def ssprk54_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
     """Five-stage order-4 SSP candidate in exp-map/SLERP form.
 
-    The printed coefficients are consistent only to ~1e-11, which shows up as
-    an error floor near 1e-10 under time-step refinement.
+    The printed coefficients are consistent only to ~1e-11: the output lands
+    at t + 0.9999999999122238 h, which shows up as an error floor near 1e-10
+    under time-step refinement.
     """
-    _require_autonomous(f, "sssprk54")
     q1 = _advance(p, f.raw(p, t), 0.39175222700392 * h, HALF_PI)
-    q21 = _advance(q1, f.raw(q1, t), 0.663050807590193 * h, HALF_PI)
+    q21 = _advance(q1, f.raw(q1, t + 0.39175222700392 * h), 0.663050807590193 * h, HALF_PI)
     q2 = slerp(p, q21, 0.55562950593266)
-    q32 = _advance(q2, f.raw(q2, t), 0.663050807607172 * h, HALF_PI)
+    q32 = _advance(q2, f.raw(q2, t + 0.58607968896780 * h), 0.663050807607172 * h, HALF_PI)
     q3 = slerp(p, q32, 0.37989814861460)
-    fq3 = f.raw(q3, t)
+    fq3 = f.raw(q3, t + 0.47454236302687 * h)
     q43 = _advance(q3, fq3, 0.663050807601060 * h, HALF_PI)
     q4 = slerp(p, q43, 0.82192004589227)
     q53 = _advance(q3, fq3, 0.663050807634935 * h, HALF_PI)
-    q54 = _advance(q4, f.raw(q4, t), 0.648818932180072 * h, HALF_PI)
+    q54 = _advance(q4, f.raw(q4, t + 0.93501063100924 * h), 0.648818932180072 * h, HALF_PI)
     r52 = slerp(p, q2, 0.986961045402787)
     r53 = slerp(r52, q53, 0.195804064212316)
     return slerp(r53, q54, 0.348336757736944)
 
 
-def ssprk104_step(
-    f: VelocityField,
-    p: UnitVector3,
-    t: float,
-    h: float,
-    combine: str = "slerp",
-) -> UnitVector3:
-    """Ten-stage order-4 SSP candidate; ``combine`` picks the averaging route.
+def _sixth_substeps(f: VelocityField, q: UnitVector3, s: float, h: float) -> UnitVector3:
+    """Five exp-map substeps of h/6 from q at time s, with stages at s + j h/6."""
+    sixth = h / 6.0
+    for j in range(5):
+        q = _advance(q, f.raw(q, s + j * sixth), sixth, HALF_PI)
+    return q
 
-    ``combine='slerp'`` uses progressive SLERP (weights 0.4, 0.9, 0.6 as the
-    fold parameters); ``combine='frechet'`` replaces each convex combination
-    by the projected average of the same weighted points, the fast stand-in
+
+def ssprk104_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
+    """Ten-stage order-4 SSP candidate with progressive-SLERP combinations.
+
+    Two runs of five h/6 substeps, from p at t and from the first
+    combination at t + h/3; the SLERP weights 0.4, 0.9, 0.6 are the fold
+    parameters of the convex combinations.
+    """
+    q65 = _sixth_substeps(f, p, t, h)
+    q1010 = _sixth_substeps(f, slerp(p, q65, 0.4), t + h / 3.0, h)
+    return slerp(slerp(p, q65, 0.9), q1010, 0.6)
+
+
+def ssprk104_frechet_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
+    """``ssprk104_step`` with each convex combination a projected average.
+
+    The projected average of the same weighted points is the fast stand-in
     for their Frechet mean.  Its combination defect caps this scheme at
     second order; the Frechet mean itself would reproduce the
     progressive-SLERP accuracy instead, because the stage points are nearly
     collinear and both averages then agree beyond the measured order.
     """
-    if combine not in ("slerp", "frechet"):
-        raise ValueError(f"unknown combination mode {combine!r}")
-    _require_autonomous(f, "sssprk104")
-    sixth = h / 6.0
-    q = p
-    for _ in range(4):
-        q = _advance(q, f.raw(q, t), sixth, HALF_PI)
-    q65 = _advance(q, f.raw(q, t), sixth, HALF_PI)
-    if combine == "slerp":
-        q6 = slerp(p, q65, 0.4)
-    else:
-        q6 = projected_mean([(0.6, p), (0.4, q65)])
-    q = q6
-    for _ in range(4):
-        q = _advance(q, f.raw(q, t), sixth, HALF_PI)
-    q1010 = _advance(q, f.raw(q, t), sixth, HALF_PI)
-    if combine == "slerp":
-        r = slerp(p, q65, 0.9)
-        return slerp(r, q1010, 0.6)
+    q65 = _sixth_substeps(f, p, t, h)
+    q1010 = _sixth_substeps(f, projected_mean([(0.6, p), (0.4, q65)]), t + h / 3.0, h)
     return projected_mean([(0.04, p), (0.36, q65), (0.6, q1010)])
-
-
-def ssprk104_frechet_step(
-    f: VelocityField, p: UnitVector3, t: float, h: float
-) -> UnitVector3:
-    return ssprk104_step(f, p, t, h, combine="frechet")
 
 
 def projected_mean(weighted_points: WeightedPoints) -> UnitVector3:

@@ -263,7 +263,7 @@ def test_baseline_tableaux_meet_their_order_conditions(name):
 
 def test_rk6_uses_stage_times():
     # x' = t e3 is integrated exactly by any method with correct stage times
-    f = VelocityField(lambda p, t: (0.0, 0.0, t), autonomous=False, name="ramp")
+    f = VelocityField(lambda p, t: (0.0, 0.0, t), name="ramp")
     x = rk6_step(f, (1.0, 0.0, 0.0), 0.5, 0.25)
     assert x == pytest.approx((1.0, 0.0, 0.5 * (0.75**2 - 0.5**2)), abs=1e-15)
 

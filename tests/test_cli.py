@@ -138,9 +138,9 @@ def test_eikonal_csv_cells_are_round_trip_floats(tmp_path):
         "--dt", "0.1", "--t-final", "0.3", "--snapshots", "0.1,0.3", "--out", str(out),
     ]) == 0
     fronts = eikonal.trace_wavefront(eikonal.y31_model(), UnitVector3(1.0, 0.0, 0.0), 16, 0.1, 0.3,
-                                     order=3, snapshot_times=[0.1, 0.3])
+                                     scheme=eikonal.scheme_for_order(3), snapshot_times=[0.1, 0.3])
     want = np.concatenate(
-        [np.column_stack([np.full(16, f.t), np.arange(16), f.x, f.k, f.u]) for f in fronts]
+        [np.column_stack([np.full(16, f.t), np.arange(16), f.x, f.k, np.full(16, f.t)]) for f in fronts]
     )
     assert np.array_equal(read_csv_floats(out), want)
 

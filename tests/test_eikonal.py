@@ -132,7 +132,6 @@ def test_phase_is_exactly_step_count_times_h():
     fronts = trace_wavefront(model, XS, 4, h, 1.0, scheme="stvdrk2",
                              snapshot_times=[0.5, 1.0])
     assert fronts[0].t == 5 * h
-    assert np.all(fronts[0].u == 5 * h)
     assert fronts[1].t == 10 * h
 
 
@@ -183,7 +182,7 @@ def test_wavefront_E2_exact_circle_is_zero():
     n = 128
     ang = 2 * math.pi * np.arange(n) / n
     x = np.stack([np.zeros(n), np.cos(ang), np.sin(ang)], axis=1)
-    front = Wavefront(t=math.pi / 2, xs=XS, x=x, k=x.copy(), u=np.full(n, math.pi / 2))
+    front = Wavefront(t=math.pi / 2, xs=XS, x=x, k=x.copy())
     assert wavefront_E2(front, XS) < 1e-13
 
 
@@ -196,14 +195,14 @@ def test_wavefront_E2_uniform_offset():
         [np.full(n, math.cos(r)), math.sin(r) * np.cos(ang), math.sin(r) * np.sin(ang)],
         axis=1,
     )
-    front = Wavefront(t=math.pi / 2, xs=XS, x=x, k=x.copy(), u=np.full(n, math.pi / 2))
+    front = Wavefront(t=math.pi / 2, xs=XS, x=x, k=x.copy())
     seg = math.acos(math.cos(r) ** 2 + math.sin(r) ** 2 * math.cos(2 * math.pi / n))
     assert wavefront_E2(front, XS) == pytest.approx(eps * math.sqrt(n * seg), rel=1e-9)
 
 
 def test_wavefront_E2_degenerate_front():
     x = np.tile(np.asarray(XS), (8, 1))
-    front = Wavefront(t=0.0, xs=XS, x=x, k=x.copy(), u=np.zeros(8))
+    front = Wavefront(t=0.0, xs=XS, x=x, k=x.copy())
     with pytest.raises(DegenerateFrontError):
         wavefront_E2(front, XS)
 
@@ -274,7 +273,7 @@ def test_wavefront_csv_cells_are_round_trip_floats(tmp_path):
     out = tmp_path / "front.csv"
     write_wavefronts_csv(out, fronts)
     want = np.concatenate(
-        [np.column_stack([np.full(8, f.t), np.arange(8), f.x, f.k, f.u]) for f in fronts]
+        [np.column_stack([np.full(8, f.t), np.arange(8), f.x, f.k, np.full(8, f.t)]) for f in fronts]
     )
     assert np.array_equal(read_csv_floats(out), want)
 
@@ -283,20 +282,15 @@ def test_wavefront_csv_chunks_match_whole_front_rows(tmp_path):
     # more rays than two slices and not a multiple of the slice length
     n = 2 * CSV_CHUNK_ROWS + 3
     rng = np.random.default_rng(5)
-    signed_zeros = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
-    with_nan = np.full(n, 0.3)
-    with_nan[::7] = math.nan
-    with_nan[CSV_CHUNK_ROWS:2 * CSV_CHUNK_ROWS] = math.nan  # one slice NaN throughout
-    us = [np.full(n, 0.0), np.full(n, 0.1), rng.standard_normal(n), signed_zeros, with_nan]
-    fronts = [Wavefront(t=0.1 * i, xs=XS, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)),
-                        u=u) for i, u in enumerate(us)]
+    fronts = [Wavefront(t=0.1 * i, xs=XS, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)))
+              for i in range(3)]
     out = tmp_path / "front.csv"
     write_wavefronts_csv(out, fronts)
     want = ["t,ray_index,x,y,z,kx,ky,kz,u\n"]
     for f in fronts:
-        rows = zip(f.x.tolist(), f.k.tolist(), f.u.tolist())
-        want.extend(f"{f.t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{u!r}\n"
-                    for j, ((px, py, pz), (kx, ky, kz), u) in enumerate(rows))
+        rows = zip(f.x.tolist(), f.k.tolist())
+        want.extend(f"{f.t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{f.t!r}\n"
+                    for j, ((px, py, pz), (kx, ky, kz)) in enumerate(rows))
     assert out.read_bytes() == "".join(want).encode("utf-8")
 
 
