@@ -39,8 +39,11 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 def snapshot_steps(h: float, t_final: float, times: Optional[Sequence[float]]) -> Tuple[int, Set[int]]:
     """Step count to ``t_final`` and the step indices of the snapshot ``times``.
 
-    All must lie on the grid of step ``h``; ``times`` defaults to t_final alone.
+    All must lie on the grid of a finite step ``h`` > 0, with ``times``
+    (default: t_final alone) in [0, t_final] and t_final finite; else ValueError.
     """
+    if not (0.0 < h < math.inf and 0.0 <= t_final < math.inf):
+        raise ValueError(f"need a finite step h > 0 and t_final >= 0, got h={h!r}, t_final={t_final!r}")
     n_steps = round(t_final / h)
     if abs(n_steps * h - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer number of steps")
@@ -49,6 +52,8 @@ def snapshot_steps(h: float, t_final: float, times: Optional[Sequence[float]]) -
         i = round(t / h)
         if abs(i * h - t) > 1e-6:
             raise ValueError(f"snapshot time {t!r} is not on the step grid")
+        if not 0 <= i <= n_steps:
+            raise ValueError(f"snapshot time {t!r} lies outside [0, t_final]")
         want.add(i)
     return n_steps, want
 

@@ -63,9 +63,8 @@ def all_scheme_names() -> List[str]:
 
 
 def _cmd_converge(args) -> int:
-    problem = harness.vortex_problem() if args.problem == "vortex4" else harness.rotation_problem()
-    if args.t_final != problem.t_final:
-        problem = harness.Problem(problem.name, problem.f, problem.p0, args.t_final)
+    base = harness.vortex_problem() if args.problem == "vortex4" else harness.rotation_problem()
+    problem = harness.Problem(base.f, base.p0, args.t_final)
     h_list = parse_h_spec(args.h)
     names = all_scheme_names() if args.scheme == "all" else [args.scheme]
     reports = [harness.run_convergence(name, problem, h_list) for name in names]
@@ -105,7 +104,7 @@ def _cmd_eikonal(args) -> int:
         n_rays=args.rays,
         h=args.dt,
         t_final=args.t_final,
-        scheme=args.scheme if args.scheme else eikonal.scheme_for_order(args.order),
+        scheme=args.scheme,
         snapshot_times=snapshots,
     )
     eikonal.write_wavefronts_csv(args.out, fronts)
@@ -185,9 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eikonal", help="surface-eikonal wavefront tracing")
     p.add_argument("--velocity", choices=sorted(eikonal.MODELS), required=True)
-    p.add_argument("--order", type=int, choices=[1, 2, 3], default=3)
-    p.add_argument("--scheme", choices=eikonal.COUPLED_SCHEMES, default=None,
-                   help="explicit coupled scheme (overrides --order)")
+    p.add_argument("--scheme", choices=eikonal.COUPLED_SCHEMES, default="stvdrk3",
+                   help="coupled scheme; sfe, stvdrk2, stvdrk3 are the sphere-intrinsic ones")
     p.add_argument("--rays", type=int, default=512)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--t-final", type=float, required=True)

@@ -9,11 +9,12 @@ H(x, k) = (v(x)^2 [|k|^2 - (k . x/|x|)^2] - 1) / 2 form the coupled system
 
 with x on the sphere, k the ray direction grad(u) in R^3, and u the travel
 time (phase).  u' = 1 gives u = t on every ray, so a front stores only t and
-the CSV's u column repeats it.  Positions are stepped with the
-sphere-intrinsic schemes of the matching order while k is stepped with the
-corresponding Cartesian TVDRK stages in lock step: ``integrators.tvdrk_step``
-runs on the pair (x, k).  Projected and unprojected Cartesian variants of the
-x-update are provided for comparison runs.
+the CSV's u column repeats it.  A coupled scheme is named by one string
+(COUPLED_SCHEMES).  The sphere-intrinsic ones, sfe, stvdrk2 and stvdrk3
+(``scheme_for_order`` maps 1-3 to them), step x with the exp-map/SLERP
+stages while k takes the matching Cartesian TVDRK stages in lock step:
+``integrators.tvdrk_step`` runs on the pair (x, k).  Projected and
+unprojected Cartesian variants of the x-update are there for comparison runs.
 
 Rays are independent: ``trace_wavefront`` cuts the fan into blocks of
 RAY_BLOCK rows, marches each block as (n, 3) arrays through every step, and
@@ -136,7 +137,6 @@ class Wavefront:
     """Snapshot of all rays at the common phase value u = t."""
 
     t: float
-    xs: UnitVector3
     x: np.ndarray  # (n, 3) ray positions
     k: np.ndarray  # (n, 3) ray directions
 
@@ -288,7 +288,7 @@ def trace_wavefront(
         raise ValueError(f"unknown coupled scheme {scheme!r}")
     n_steps, want = snapshot_steps(h, t_final, snapshot_times)
     x0, k0 = initial_rays(model, xs, n_rays)
-    snaps = sorted(i for i in want if 0 <= i <= n_steps)
+    snaps = sorted(want)
     front_x = {i: np.empty_like(x0) for i in snaps}
     front_k = {i: np.empty_like(k0) for i in snaps}
 
@@ -320,22 +320,20 @@ def trace_wavefront(
         # A block reports its own first failure (a stage arc is the block's
         # maximum); march all rows as one block to raise what that reports.
         march(slice(None))
-    return [Wavefront(t=i * h, xs=xs, x=front_x[i], k=front_k[i]) for i in snaps]
+    return [Wavefront(t=i * h, x=front_x[i], k=front_k[i]) for i in snaps]
 
 
-def wavefront_E2(front: Wavefront, xs: UnitVector3, t: Optional[float] = None) -> float:
+def wavefront_E2(front: Wavefront, xs: UnitVector3) -> float:
     """Arc-length weighted L2 deviation of the front from the exact circle.
 
-    For unit velocity the exact wavefront at time t is the circle of geodesic
-    radius t about the source; the error integrand (t - d(x, xs))^2 is
-    integrated over the closed ray polyline by the trapezoidal rule with
-    geodesic segment lengths.
+    For unit velocity the exact wavefront at the front's time t is the circle
+    of geodesic radius t about the source xs; the error integrand
+    (t - d(x, xs))^2 is integrated over the closed ray polyline by the
+    trapezoidal rule with geodesic segment lengths.
     """
-    if t is None:
-        t = front.t
     x = front.x
     xs_arr = np.asarray(xs, dtype=float)
-    g = (t - row_angle(x, xs_arr)) ** 2
+    g = (front.t - row_angle(x, xs_arr)) ** 2
     seg = row_angle(x, np.roll(x, -1, axis=0))
     total = float(np.sum(seg))
     if total < 1e-12:

@@ -47,11 +47,10 @@ POLE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class VortexConfig:
-    """Four-vortex benchmark setup: centers, start point, horizon."""
+    """Four-vortex benchmark setup: centers and start point."""
 
     centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS
     p0: UnitVector3 = UnitVector3(1.0, 0.0, 0.0)
-    t_final: float = 2.0
 
 
 def vortex4_field(centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS) -> VelocityField:

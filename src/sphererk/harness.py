@@ -3,7 +3,9 @@
 This module drives the sphere schemes and the Cartesian baselines through the
 model problems, measures endpoint errors against a sixth-order reference that
 is none of the schemes under test, fits convergence orders on log-log data,
-and packages everything for CSV/JSON emission by the CLI.
+and packages everything for CSV/JSON emission by the CLI.  The ``verify_*``
+presets take no arguments: each runs the one fixed sweep it reports on, so
+the CLI and the suite check the same numbers.
 """
 
 from __future__ import annotations
@@ -68,26 +70,28 @@ EXPECTED_ENORM_ORDER: Dict[str, float] = {
     "rk3": 3,
     "rk4": 4,
 }
+# verify_table2 passes a fitted order within these of its expected value.
+ORDER_TOL = 0.25
+ENORM_TOL = 0.3
 
 
 @dataclass(frozen=True)
 class Problem:
     """A velocity field together with its benchmark initial data and horizon."""
 
-    name: str
     f: VelocityField
     p0: UnitVector3
     t_final: float
 
 
 def vortex_problem(config: VortexConfig = VortexConfig()) -> Problem:
-    return Problem("vortex4", vortex4_field(config.centers), config.p0, config.t_final)
+    return Problem(vortex4_field(config.centers), config.p0, 2.0)
 
 
-def rotation_problem(omega: Vec3 = (1.0, 0.0, 0.0)) -> Problem:
-    # Start on the great circle perpendicular to the axis so the motion is
-    # geodesic and the sphere schemes are exact.
-    return Problem("rotation", rigid_rotation_field(omega), UnitVector3(0.0, 0.0, 1.0), 2.0)
+def rotation_problem() -> Problem:
+    # Rotation about e1, from a start on the great circle perpendicular to the
+    # axis, so the motion is geodesic and the sphere schemes are exact.
+    return Problem(rigid_rotation_field((1.0, 0.0, 0.0)), UnitVector3(0.0, 0.0, 1.0), 2.0)
 
 
 def resolve_scheme(name: Union[str, AnyScheme]) -> AnyScheme:
@@ -240,7 +244,7 @@ def run_convergence(
         order_enorm = _fit_asymptotic([(r.h, r.enorm) for r in rows])
     return ConvergenceReport(
         scheme=scheme.value,
-        problem=problem.name,
+        problem=problem.f.name,
         rows=tuple(rows),
         order_e2=order_e2,
         order_enorm=order_enorm,
@@ -261,8 +265,7 @@ CONVERGENCE_CUTOFF = 1e-2
 class StabilityRun:
     scheme: str
     h: float
-    n_steps: int
-    distances: Tuple[float, ...]
+    distances: Tuple[float, ...]  # start point and each of the n_steps steps
     verdict: str  # "converged" | "diverged"
 
 
@@ -288,9 +291,12 @@ def run_stability(
 
     The model matrix diag(1/2, -1/2, -1/2) makes both poles +-e1 attractors
     with eigenvalue gap sigma = -1, so the step size h plays the role of
-    sigma*h in the absolute-stability interval.  A start point with a NaN or
-    infinite coordinate raises NonFiniteStateError, whatever ``n_steps``.
+    sigma*h in the absolute-stability interval.  A negative ``n_steps`` raises
+    ValueError; a start point with a NaN or infinite coordinate raises
+    NonFiniteStateError, whatever ``n_steps``.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps!r}")
     scheme = resolve_scheme(scheme)
     step = scheme_stepper(scheme)
     f = projected_linear_field(STABILITY_MATRIX)
@@ -302,7 +308,7 @@ def run_stability(
         x = step(f, x, i * h, h)
         distances.append(_attractor_distance(x))
     verdict = "converged" if distances[-1] < CONVERGENCE_CUTOFF else "diverged"
-    return StabilityRun(scheme.value, h, n_steps, tuple(distances), verdict)
+    return StabilityRun(scheme.value, h, tuple(distances), verdict)
 
 
 # --- appendix verifications ------------------------------------------------
@@ -350,22 +356,17 @@ def appendix_a_coefficients(a: float, b: float) -> Tuple[float, float, float]:
     return c2, c4, c4_printed
 
 
-def verify_appendix_a(
-    a: float = 1.0,
-    b: float = 1.1,
-    h_list: Optional[Sequence[float]] = None,
-) -> AppendixAReport:
+def verify_appendix_a() -> AppendixAReport:
     """Extract the h^2 and h^4 coefficients of |p_TVDRK2| - 1 numerically.
 
-    Fits (norm - 1)/h^2 against [1, h^2, h^4] over a geometric h sweep and
-    compares with the closed forms of the exact construction (see
-    appendix_a_coefficients for the sign discrepancy against the printed
-    expansion, which the report also carries).  Also checks the
+    Fits (norm - 1)/h^2 against [1, h^2, h^4] for speeds a = 1, b = 1.1 over
+    h = 0.08/2^0..5 and compares with the closed forms of the exact
+    construction (see appendix_a_coefficients for the sign discrepancy
+    against the printed expansion, which the report also carries).  Also checks the
     Lipschitz-coupled case b = a + O(h), whose norm defect must fit slope ~4.
     """
-    if h_list is None:
-        h_list = [0.08 * 2.0**-k for k in range(6)]
-    hs = np.asarray(sorted(h_list, reverse=True))
+    a, b = 1.0, 1.1
+    hs = np.array([0.08 * 2.0**-k for k in range(6)])
     g = np.array([(tvdrk2_planar_norm(a, b, h) - 1.0) / (h * h) for h in hs])
     basis = np.vstack([np.ones_like(hs), hs**2, hs**4]).T
     coeffs, *_ = np.linalg.lstsq(basis, g, rcond=None)
@@ -447,9 +448,10 @@ def random_unit_vector(rng: random.Random) -> UnitVector3:
             return UnitVector3(v[0] / n, v[1] / n, v[2] / n)
 
 
-def verify_slerp_parity(n_pairs: int = 1000, seed: int = 20240817) -> SlerpParityReport:
-    """Componentwise agreement of geodesic-form and quaternion-form SLERP."""
-    rng = random.Random(seed)
+def verify_slerp_parity() -> SlerpParityReport:
+    """Componentwise agreement of geodesic-form and quaternion-form SLERP on 1000 random pairs."""
+    n_pairs = 1000
+    rng = random.Random(20240817)
     ts = [0.1 * k for k in range(1, 10)]
     worst = 0.0
     count = 0
@@ -475,29 +477,25 @@ class Table2Report:
     passed: bool
 
 
-def verify_table2(
-    h_list: Sequence[float] = DEFAULT_H_LIST,
-    order_tol: float = 0.25,
-    enorm_tol: float = 0.3,
-) -> Table2Report:
+def verify_table2() -> Table2Report:
     """Reproduce the convergence-order table on the four-vortex flow.
 
-    Checks every scheme's fitted E2 order against its expected value, the
-    norm-error orders of the unprojected schemes, and that the projected and
-    SLERP-based schemes keep the endpoint norm exact to 1e-12 at every h.
+    Checks every scheme's fitted E2 order over DEFAULT_H_LIST against its
+    expected value, the norm-error orders of the unprojected schemes, and that
+    the projected and SLERP-based schemes keep the endpoint norm exact to 1e-12 at every h.
     """
     problem = vortex_problem()
     reports: Dict[str, ConvergenceReport] = {}
     order_failures: List[str] = []
     enorm_failures: List[str] = []
     for name, expected in EXPECTED_E2_ORDER.items():
-        rep = run_convergence(name, problem, h_list)
+        rep = run_convergence(name, problem)
         reports[name] = rep
-        if rep.order_e2 is None or abs(rep.order_e2 - expected) > order_tol:
+        if rep.order_e2 is None or abs(rep.order_e2 - expected) > ORDER_TOL:
             order_failures.append(name)
         if name in EXPECTED_ENORM_ORDER:
             want = EXPECTED_ENORM_ORDER[name]
-            if rep.order_enorm is None or abs(rep.order_enorm - want) > enorm_tol:
+            if rep.order_enorm is None or abs(rep.order_enorm - want) > ENORM_TOL:
                 enorm_failures.append(name)
         elif stays_on_sphere(resolve_scheme(name)):
             if any(row.enorm > 1e-12 for row in rep.rows):

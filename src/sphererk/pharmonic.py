@@ -93,10 +93,7 @@ def _next(a: np.ndarray) -> np.ndarray:
 
 def _gradient_weights(m: np.ndarray, ds: float, p: float, eps_reg: float) -> Tuple[np.ndarray, np.ndarray]:
     d_plus = (_next(m) - m) / ds
-    if p == 2.0:
-        w = np.ones(m.shape[0])
-    else:
-        w = (row_dot(d_plus, d_plus) + eps_reg * eps_reg) ** ((p - 2.0) / 2.0)
+    w = (row_dot(d_plus, d_plus) + eps_reg * eps_reg) ** ((p - 2.0) / 2.0)
     return d_plus, w
 
 

@@ -11,6 +11,7 @@ from sphererk.batch import (
     row_dot,
     row_norm,
     slerp_rows,
+    snapshot_steps,
 )
 from sphererk.errors import AntipodalPointsError, NonFiniteStateError, StepTooLargeError
 from sphererk.geometry import exp_raw, geodesic_distance, slerp
@@ -92,6 +93,28 @@ def test_exp_rows_mixed_small_and_large_steps():
         scalar = exp_raw(tuple(p[i]), tuple(lengths[i] * d[i]))
         assert np.max(np.abs(out[i] - scalar)) <= 1e-15
     assert np.array_equal(out[0], p[0])
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_snapshot_steps_rejects_bad_step(h):
+    with pytest.raises(ValueError, match="step"):
+        snapshot_steps(h, 1.0, None)
+
+
+@pytest.mark.parametrize("t_final", [-0.1, math.nan, math.inf])
+def test_snapshot_steps_rejects_bad_horizon(t_final):
+    with pytest.raises(ValueError, match="t_final"):
+        snapshot_steps(0.1, t_final, None)
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.1])
+def test_snapshot_steps_rejects_times_off_the_horizon(t):
+    with pytest.raises(ValueError, match="outside"):
+        snapshot_steps(0.1, 1.0, [0.0, t])
+
+
+def test_snapshot_steps_accepts_zero_horizon():
+    assert snapshot_steps(0.1, 0.0, None) == (0, {0})
 
 
 def test_check_arc_passes_below_limit():

@@ -1,11 +1,14 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import read_csv_floats
 from sphererk import eikonal, pharmonic
-from sphererk.cli import main, parse_h_spec
+from sphererk.cli import build_parser, main, parse_h_spec
 from sphererk.geometry import UnitVector3
 from sphererk.harness import AppendixBReport
 
@@ -79,7 +82,7 @@ def test_stability_writes_series(tmp_path):
 def test_eikonal_writes_snapshots(tmp_path):
     out = tmp_path / "front.csv"
     code = main([
-        "eikonal", "--velocity", "const", "--order", "2", "--rays", "8",
+        "eikonal", "--velocity", "const", "--scheme", "stvdrk2", "--rays", "8",
         "--dt", "0.1", "--t-final", "0.5", "--snapshots", "0.2,0.5",
         "--out", str(out),
     ])
@@ -109,6 +112,69 @@ def test_pharmonic_writes_snapshots(tmp_path):
     assert len(lines) == 1 + 16
 
 
+@pytest.mark.parametrize("argv", [
+    ["eikonal", "--velocity", "const", "--rays", "8", "--t-final", "0.5", "--dt", "0"],
+    ["eikonal", "--velocity", "const", "--rays", "8", "--t-final", "0.5", "--dt=-0.1"],
+    ["eikonal", "--velocity", "const", "--rays", "8", "--t-final", "0.5", "--dt", "nan"],
+    ["eikonal", "--velocity", "const", "--rays", "8", "--t-final", "-0.5", "--dt", "0.1"],
+    ["eikonal", "--velocity", "const", "--rays", "8", "--t-final", "0.5", "--dt", "0.1",
+     "--snapshots", "0.6"],
+    ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "0"],
+    ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt=-1e-3"],
+    ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "inf"],
+    ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "1e-4",
+     "--snapshots", "0,0.5"],
+    ["stability", "--scheme", "sfe", "--h", "0.1", "--steps", "-3"],
+], ids=["eikonal-dt0", "eikonal-dt-neg", "eikonal-dt-nan", "eikonal-t-neg", "eikonal-snap-late",
+        "pharmonic-dt0", "pharmonic-dt-neg", "pharmonic-dt-inf", "pharmonic-snap-late",
+        "stability-steps-neg"])
+def test_bad_step_settings_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "sphererk: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_subcommand_option_sets():
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in _subparsers(build_parser()).items()
+    }
+    assert options == {
+        "converge": {"--problem", "--scheme", "--t-final", "--h", "--out"},
+        "stability": {"--scheme", "--h", "--steps", "--out"},
+        "eikonal": {"--velocity", "--scheme", "--rays", "--dt", "--t-final", "--snapshots", "--out"},
+        "pharmonic": {"--p", "--nodes", "--dt", "--t-final", "--eps-reg", "--order", "--snapshots",
+                      "--out"},
+        "verify": {"--target"},
+    }
+
+
+def _readme_cli_commands():
+    """Every command of README's "## CLI" code block, as an argv list without "sphererk"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sphererk ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=lambda argv: argv[0])
+def test_readme_cli_commands_run(tmp_path, argv):
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / Path(argv[i]).name)
+    assert main(argv) == 0
+
+
+def test_readme_cli_block_covers_every_subcommand():
+    assert {argv[0] for argv in _readme_cli_commands()} == set(_subparsers(build_parser()))
+
+
 def test_usage_error_exit_code():
     assert main(["converge", "--problem", "bogus", "--scheme", "all",
                  "--h", "0.1", "--out", "x.csv"]) == 1
@@ -134,7 +200,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_eikonal_csv_cells_are_round_trip_floats(tmp_path):
     out = tmp_path / "front.csv"
     assert main([
-        "eikonal", "--velocity", "y31", "--order", "3", "--rays", "16",
+        "eikonal", "--velocity", "y31", "--rays", "16",
         "--dt", "0.1", "--t-final", "0.3", "--snapshots", "0.1,0.3", "--out", str(out),
     ]) == 0
     fronts = eikonal.trace_wavefront(eikonal.y31_model(), UnitVector3(1.0, 0.0, 0.0), 16, 0.1, 0.3,

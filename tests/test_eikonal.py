@@ -182,7 +182,7 @@ def test_wavefront_E2_exact_circle_is_zero():
     n = 128
     ang = 2 * math.pi * np.arange(n) / n
     x = np.stack([np.zeros(n), np.cos(ang), np.sin(ang)], axis=1)
-    front = Wavefront(t=math.pi / 2, xs=XS, x=x, k=x.copy())
+    front = Wavefront(t=math.pi / 2, x=x, k=x.copy())
     assert wavefront_E2(front, XS) < 1e-13
 
 
@@ -195,14 +195,14 @@ def test_wavefront_E2_uniform_offset():
         [np.full(n, math.cos(r)), math.sin(r) * np.cos(ang), math.sin(r) * np.sin(ang)],
         axis=1,
     )
-    front = Wavefront(t=math.pi / 2, xs=XS, x=x, k=x.copy())
+    front = Wavefront(t=math.pi / 2, x=x, k=x.copy())
     seg = math.acos(math.cos(r) ** 2 + math.sin(r) ** 2 * math.cos(2 * math.pi / n))
     assert wavefront_E2(front, XS) == pytest.approx(eps * math.sqrt(n * seg), rel=1e-9)
 
 
 def test_wavefront_E2_degenerate_front():
     x = np.tile(np.asarray(XS), (8, 1))
-    front = Wavefront(t=0.0, xs=XS, x=x, k=x.copy())
+    front = Wavefront(t=0.0, x=x, k=x.copy())
     with pytest.raises(DegenerateFrontError):
         wavefront_E2(front, XS)
 
@@ -282,7 +282,7 @@ def test_wavefront_csv_chunks_match_whole_front_rows(tmp_path):
     # more rays than two slices and not a multiple of the slice length
     n = 2 * CSV_CHUNK_ROWS + 3
     rng = np.random.default_rng(5)
-    fronts = [Wavefront(t=0.1 * i, xs=XS, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)))
+    fronts = [Wavefront(t=0.1 * i, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)))
               for i in range(3)]
     out = tmp_path / "front.csv"
     write_wavefronts_csv(out, fronts)

@@ -206,7 +206,6 @@ def test_ptvdrk2_and_prk2_report_rows_agree():
 
 def test_stability_run_records_series(tmp_path):
     run = run_stability("sfe", 1.0, n_steps=50)
-    assert run.n_steps == 50
     assert len(run.distances) == 51
     assert run.verdict == "converged"
     assert run.distances[-1] < run.distances[0]
@@ -220,6 +219,12 @@ def test_stability_run_records_series(tmp_path):
 def test_stability_diverged_verdict():
     run = run_stability("sfe", 2.2, n_steps=200)
     assert run.verdict == "diverged"
+
+
+@pytest.mark.parametrize("n_steps", [-1, -3])
+def test_stability_rejects_negative_step_count(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        run_stability("sfe", 0.1, n_steps)
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 5])
@@ -260,7 +265,8 @@ def test_appendix_b_report():
 
 
 def test_slerp_parity_report():
-    rep = verify_slerp_parity(n_pairs=200, seed=4)
+    rep = verify_slerp_parity()
+    assert rep.n_pairs == 1000
     assert rep.passed and rep.max_deviation <= 1e-12
 
 
@@ -274,6 +280,6 @@ def test_reference_failure_is_wrapped():
     from sphererk.harness import Problem
 
     # starting at a vortex center makes the very first field evaluation blow up
-    bad = Problem("singular", vortex4_field(), VORTEX4_CENTERS[0], 1.0)
+    bad = Problem(vortex4_field(), VORTEX4_CENTERS[0], 1.0)
     with pytest.raises(ReferenceUnavailableError):
         reference_endpoint(bad)
