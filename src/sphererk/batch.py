@@ -5,12 +5,13 @@ p-harmonic solvers step whole (n, 3) arrays at once.  These kernels apply the
 same formulas as :mod:`sphererk.geometry` rowwise; the test suite checks
 parity against the scalar versions.  Row code reduces with the einsum
 helpers below: at a few hundred rows numpy's cost is per call, not per row.
+Besides the kernels there is only ``check_arc``, the stage-arc guard of both
+row flows; their step grid comes from :mod:`sphererk.integrators`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,28 +35,6 @@ def row_angle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / row_norm(x)[..., None]
-
-
-def snapshot_steps(h: float, t_final: float, times: Optional[Sequence[float]]) -> Tuple[int, Set[int]]:
-    """Step count to ``t_final`` and the step indices of the snapshot ``times``.
-
-    All must lie on the grid of a finite step ``h`` > 0, with ``times``
-    (default: t_final alone) in [0, t_final] and t_final finite; else ValueError.
-    """
-    if not (0.0 < h < math.inf and 0.0 <= t_final < math.inf):
-        raise ValueError(f"need a finite step h > 0 and t_final >= 0, got h={h!r}, t_final={t_final!r}")
-    n_steps = round(t_final / h)
-    if abs(n_steps * h - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer number of steps")
-    want = set()
-    for t in [t_final] if times is None else times:
-        i = round(t / h)
-        if abs(i * h - t) > 1e-6:
-            raise ValueError(f"snapshot time {t!r} is not on the step grid")
-        if not 0 <= i <= n_steps:
-            raise ValueError(f"snapshot time {t!r} lies outside [0, t_final]")
-        want.add(i)
-    return n_steps, want
 
 
 def check_arc(h: float, v: np.ndarray, limit: float, what: str) -> None:

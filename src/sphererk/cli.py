@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 
 from . import eikonal, harness, pharmonic
 from .baselines import BaselineId
+from .errors import SphereRKError
 from .geometry import UnitVector3
 from .integrators import SchemeId
 
@@ -221,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SphereRKError) as exc:
         print(f"sphererk: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

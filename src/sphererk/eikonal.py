@@ -37,12 +37,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .batch import (
-    check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows, snapshot_steps,
-)
+from .batch import check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows
 from .errors import DegenerateFrontError
 from .geometry import HALF_PI, UnitVector3
-from .integrators import tvdrk_step
+from .integrators import snapshot_steps, tvdrk_step
 
 Y31_AMPLITUDE = -0.125 * math.sqrt(21.0 / math.pi)
 

@@ -135,22 +135,12 @@ def stability_interval(order: int) -> float:
     """Lower bound mu* of the absolute-stability interval mu* <= sigma*h <= 0.
 
     Orders 1 and 2 share the classical bound -2.  For order 3 the bound is the
-    unique real root of mu^3/6 + mu^2/2 + mu + 2 = 0, located by bisection to
-    1e-12.
+    unique real root of mu^3/6 + mu^2/2 + mu + 2 = 0, by Cardano's formula
+    mu* = cbrt(sqrt(17) - 4) - cbrt(sqrt(17) + 4) - 1.
     """
     if order in (1, 2):
         return -2.0
     if order != 3:
         raise ValueError(f"no stability interval tabulated for order {order!r}")
-
-    def poly(mu: float) -> float:
-        return mu * mu * mu / 6.0 + mu * mu / 2.0 + mu + 2.0
-
-    lo, hi = -3.0, -2.0
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if poly(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    r = math.sqrt(17.0)
+    return (r - 4.0) ** (1.0 / 3.0) - (r + 4.0) ** (1.0 / 3.0) - 1.0

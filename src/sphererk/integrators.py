@@ -21,6 +21,11 @@ stages at these times, written as literals in ``f.raw(q, t + c*h)``.
 sphere steppers here, the Cartesian baselines and the eikonal and p-harmonic
 row steppers run it with their own substep and combination.
 
+``grid_steps`` is the one step-grid rule: it checks a step size and a horizon
+and counts the steps of h in it.  ``integrate_steps`` (the scheme, baseline
+and stability runs) and ``snapshot_steps`` (the eikonal and p-harmonic
+flows) take their step counts from it.
+
 Scheme coefficients for the fourth-order candidates are embedded verbatim as
 15-digit decimals; their rounding is the source of the ~1e-10 accuracy floor
 the harness measures for the five-stage scheme, whose output lands at
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Set, Tuple
 
 from . import vec
 from .errors import NonFiniteStateError, SphereRKError, StepTooLargeError
@@ -225,29 +230,56 @@ def stepper_for(scheme: SchemeId) -> Stepper:
     return STEPPERS[SchemeId(scheme)]
 
 
+def grid_steps(h: float, span: float) -> Tuple[int, bool]:
+    """Steps of ``h`` in ``span``, and whether they fill it to 1e-12 relative.
+
+    The one step-grid rule of the package.  Raises ValueError unless h is
+    finite and > 0 and span is finite and >= 0.  When the steps do not fill
+    the span, the count is the whole steps that fit in it.
+    """
+    if not (0.0 < h < math.inf and 0.0 <= span < math.inf):
+        raise ValueError(f"need a finite step h > 0 and a finite span t_final - t0 >= 0, "
+                         f"got h={h!r}, span={span!r}")
+    n_float = span / h
+    n = round(n_float)
+    if (n > 0 or span == 0.0) and abs(n_float - n) <= 1e-12 * max(1.0, n_float):
+        return n, True
+    return math.floor(n_float), False
+
+
+def snapshot_steps(h: float, t_final: float, times: Optional[Sequence[float]]) -> Tuple[int, Set[int]]:
+    """Step count to ``t_final`` and the step indices of the snapshot ``times``.
+
+    t_final and each time (default: t_final alone) must be whole steps of
+    ``h`` by ``grid_steps``, with the times' steps in [0, n_steps]; else
+    ValueError.
+    """
+    n_steps, whole = grid_steps(h, t_final)
+    if not whole:
+        raise ValueError(f"t_final {t_final!r} must be a whole number of steps of {h!r}")
+    want = set()
+    for t in [t_final] if times is None else times:
+        i, whole = grid_steps(h, abs(t))
+        if not whole:
+            raise ValueError(f"snapshot time {t!r} is not on the step grid")
+        if t < 0.0 or i > n_steps:
+            raise ValueError(f"snapshot time {t!r} lies outside [0, t_final]")
+        want.add(i)
+    return n_steps, want
+
+
 def integrate_steps(step, f, x0, t0: float, t_final: float, h: float):
     """Uniform-grid driver shared by the sphere schemes and the baselines.
 
-    Advances ``x0`` from ``t0`` to ``t_final`` in steps of ``h``; when the span
-    is not an integer number of steps (beyond a few ulp) the final step is
-    taken with reduced ``h``.  Returns the list of (t, state) pairs including
-    both endpoints.  Stepper errors are re-raised annotated with the step
-    index.
+    Advances ``x0`` from ``t0`` to ``t_final`` in steps of ``h``; when
+    ``grid_steps`` finds the span is not a whole number of steps, the final
+    step is taken with reduced ``h``.  Returns the list of (t, state) pairs
+    including both endpoints.  Stepper errors are re-raised annotated with
+    the step index.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    if t_final < t0:
-        raise ValueError("t_final must not precede t0")
     span = t_final - t0
-    if span == 0.0:
-        return [(t0, x0)]
-    n_float = span / h
-    n = round(n_float)
-    if n > 0 and abs(n_float - n) <= 1e-12 * max(1.0, n_float):
-        sizes = [h] * n
-    else:
-        n = math.floor(n_float)
-        sizes = [h] * n + [span - n * h]
+    n, whole = grid_steps(h, span)
+    sizes = [h] * n if whole else [h] * n + [span - n * h]
     traj = [(t0, x0)]
     x = x0
     t = t0
@@ -259,4 +291,3 @@ def integrate_steps(step, f, x0, t0: float, t_final: float, h: float):
         t = t_final if i == len(sizes) - 1 else t0 + (i + 1) * h
         traj.append((t, x))
     return traj
-

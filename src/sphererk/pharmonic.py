@@ -26,9 +26,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .batch import check_arc, exp_rows, row_angle, row_dot, row_norm, slerp_rows, snapshot_steps
-from .geometry import HALF_PI
-from .integrators import tvdrk_step
+from .batch import check_arc, exp_rows, row_angle, row_dot, row_norm, slerp_rows
+from .geometry import HALF_PI, UNIT_NORM_TOL
+from .integrators import snapshot_steps, tvdrk_step
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class DirectorCurve:
         if m.ndim != 2 or m.shape[1] != 3 or m.shape[0] < 4:
             raise ValueError("director curve needs an (N, 3) array with N >= 4")
         # written so that a NaN or infinite sample fails the check as well
-        if not np.max(np.abs(row_norm(m) - 1.0)) <= 1e-12:
+        if not np.max(np.abs(row_norm(m) - 1.0)) <= UNIT_NORM_TOL:
             raise ValueError("director samples must be unit vectors")
         object.__setattr__(self, "m", m)
 

@@ -11,10 +11,10 @@ from sphererk.batch import (
     row_dot,
     row_norm,
     slerp_rows,
-    snapshot_steps,
 )
 from sphererk.errors import AntipodalPointsError, NonFiniteStateError, StepTooLargeError
 from sphererk.geometry import exp_raw, geodesic_distance, slerp
+from sphererk.integrators import snapshot_steps
 
 OMEGAS = [0.0, 1e-12, 1e-9, 1e-7, 1e-3, 1.0, 3.0, math.pi - 1e-6]
 

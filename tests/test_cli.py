@@ -124,15 +124,30 @@ def test_pharmonic_writes_snapshots(tmp_path):
     ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "inf"],
     ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "1e-4",
      "--snapshots", "0,0.5"],
+    ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-5", "--dt", "1e-7",
+     "--snapshots", "5.045e-6"],
+    ["pharmonic", "--p", "1", "--nodes", "8", "--t-final", "1e-3", "--dt", "1e-4",
+     "--eps-reg", "nan"],
     ["stability", "--scheme", "sfe", "--h", "0.1", "--steps", "-3"],
+    ["stability", "--scheme", "sfe", "--h=-1", "--steps", "3"],
+    ["stability", "--scheme", "sfe", "--h", "0", "--steps", "3"],
+    ["stability", "--scheme", "sfe", "--h", "nan", "--steps", "3"],
+    ["stability", "--scheme", "sfe", "--h", "inf", "--steps", "3"],
+    ["stability", "--scheme", "rk4", "--h", "1e300", "--steps", "3"],
+    ["converge", "--problem", "rotation", "--scheme", "sfe", "--h", "0.1", "--t-final", "inf"],
+    ["converge", "--problem", "rotation", "--scheme", "sfe", "--h", "inf"],
 ], ids=["eikonal-dt0", "eikonal-dt-neg", "eikonal-dt-nan", "eikonal-t-neg", "eikonal-snap-late",
         "pharmonic-dt0", "pharmonic-dt-neg", "pharmonic-dt-inf", "pharmonic-snap-late",
-        "stability-steps-neg"])
+        "pharmonic-snap-off-grid", "pharmonic-eps-nan",
+        "stability-steps-neg", "stability-h-neg", "stability-h0", "stability-h-nan",
+        "stability-h-inf", "stability-h-huge", "converge-t-inf", "converge-h-inf"])
 def test_bad_step_settings_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
-    assert "sphererk: error:" in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "sphererk: error:" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _subparsers(parser):

@@ -12,9 +12,11 @@ from sphererk.integrators import (
     STEPPERS,
     SchemeId,
     _advance,
+    grid_steps,
     integrate_steps,
     projected_mean,
     sfe_step,
+    snapshot_steps,
     ssprk104_frechet_step,
     ssprk104_step,
     ssprk54_step,
@@ -387,6 +389,28 @@ def test_integrate_validates_arguments():
         integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 1.0, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("t_final, h", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1)])
+def test_integrate_rejects_non_finite_step_or_horizon(t_final, h):
+    with pytest.raises(ValueError, match="step"):
+        integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, t_final, h)
+
+
+@pytest.mark.parametrize("h, span, counted", [
+    (0.1, 0.0, (0, True)),
+    (0.1, 0.3, (3, True)),
+    (0.1, 0.25, (2, False)),
+    (0.1, 0.04, (0, False)),
+    (1e-7, 5.045e-6, (50, False)),
+])
+def test_grid_steps_counts_whole_steps(h, span, counted):
+    assert grid_steps(h, span) == counted
+
+
+def test_snapshot_steps_rejects_time_between_grid_points():
+    with pytest.raises(ValueError, match="not on the step grid"):
+        snapshot_steps(1e-7, 1e-5, [5.045e-6])
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
