@@ -23,15 +23,22 @@ interpreter lock inside its loops).  Each row's arithmetic is that of a
 one-block march, so the fronts are bit-identical whatever the block count and
 worker count; an error in any block is reported as the one-block march
 reports it.
+
+The CSV writer is bound by float ``repr``, which holds the interpreter lock,
+so it formats on up to one process per usable CPU: this one and bare child
+interpreters running ``wavefront_rows.py``.  Every process formats with the
+same function, so the bytes do not depend on the process count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import shutil
+import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -340,23 +347,77 @@ def wavefront_E2(front: Wavefront, xs: UnitVector3) -> float:
     return math.sqrt(integral)
 
 
-# Rows per slice converted to Python floats while writing a front, so the
-# transient lists stay small however many rays the front has.
+# Rows per slice of the CSV writer.  A slice is converted to Python floats at
+# once, so the transient lists stay small however many rays a front has, and
+# slices are the unit the writer hands to its formatter processes.
 CSV_CHUNK_ROWS = 4096
 
 
 def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) -> None:
-    """Write every front's rows, streamed in slices of CSV_CHUNK_ROWS rays.
+    """Write every front's rows, in slices of CSV_CHUNK_ROWS rays of one front.
 
-    Cells are formatted column by column; .tolist() yields Python floats,
-    whose repr is the shortest round trip.  The u cell is the front's t cell.
+    The slices are cut into one contiguous run per usable CPU.  This process
+    formats the first run straight into the file while child interpreters
+    (``sys.executable -I -S wavefront_rows.py``) format the others into
+    temporary files in the output's directory; their files are then appended
+    in order.  Every cell is the repr of a Python float, the shortest round
+    trip, and the u cell is the front's t cell: the bytes do not depend on the
+    number of processes.  A formatter that fails raises OSError.  No child
+    outlives the call, and a write that fails leaves no file.
     """
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("t,ray_index,x,y,z,kx,ky,kz,u\n")
-        for front in fronts:
-            t = repr(float(front.t))
-            for j0 in range(0, len(front.x), CSV_CHUNK_ROWS):
-                j1 = j0 + CSV_CHUNK_ROWS
-                coords = front.x[j0:j1].T.tolist() + front.k[j0:j1].T.tolist()
-                rows = zip(repeat(t), map(str, range(j0, j1)), *(map(repr, c) for c in coords), repeat(t))
-                out.writelines(",".join(row) + "\n" for row in rows)
+    # imported here, as the thread pool is: subprocess would add ~8 ms to
+    # every command that imports this module
+    import subprocess
+    import tempfile
+
+    from . import wavefront_rows
+
+    slices = [(repr(float(f.t)), j0, f.x[j0:j0 + CSV_CHUNK_ROWS], f.k[j0:j0 + CSV_CHUNK_ROWS])
+              for f in fronts for j0 in range(0, len(f.x), CSV_CHUNK_ROWS)]
+    workers = max(1, min(_usable_cpus(), len(slices))) if sys.executable else 1
+    runs = [slices[len(slices) * w // workers:len(slices) * (w + 1) // workers] for w in range(workers)]
+    directory = os.path.dirname(os.path.abspath(path))
+    out = open(path, "wb")
+    try:
+        with out, ExitStack() as stack:
+            out.write(b"t,ray_index,x,y,z,kx,ky,kz,u\n")
+            children = []
+            for run in runs[1:]:
+                tmp = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+                proc = subprocess.Popen([sys.executable, "-I", "-S", wavefront_rows.__file__],
+                                        stdin=subprocess.PIPE, stdout=tmp)
+                stack.callback(_stop, proc)
+                _feed(proc, run)
+                children.append((proc, tmp))
+            for t, j0, x, k in runs[0]:
+                out.write(wavefront_rows.format_slice(t, j0, x.T.tolist() + k.T.tolist()).encode("ascii"))
+            for proc, tmp in children:
+                if proc.wait():
+                    raise OSError(f"wavefront CSV formatter exited with status {proc.returncode}")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, out)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _feed(proc, run) -> None:
+    """Send a run of slices to a formatter child and close its input."""
+    try:
+        for t, j0, x, k in run:
+            proc.stdin.write(f"{t} {j0} {len(x)}\n".encode("ascii"))
+            proc.stdin.write(x.T.tobytes())
+            proc.stdin.write(k.T.tobytes())
+        proc.stdin.close()
+    except BrokenPipeError:
+        raise OSError("wavefront CSV formatter stopped reading its input") from None
+
+
+def _stop(proc) -> None:
+    """Kill a formatter child unless it has exited, and reap it."""
+    proc.kill()
+    proc.wait()
+    try:
+        proc.stdin.close()
+    except OSError:
+        pass  # input left unsent to a child that is gone

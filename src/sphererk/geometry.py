@@ -20,8 +20,10 @@ from .vec import Vec3
 
 # Below this angle sin(x)/x and the slerp denominator switch to series forms.
 SMALL_ANGLE = 1e-8
-# SLERP endpoints farther apart than this are antipodal: no unique geodesic.
-ANTIPODAL_LIMIT = math.pi - 1e-8
+# SLERP endpoints farther apart than this count as antipodal.  Near pi the
+# geodesic is ill-defined and the sine weights round the result's norm by
+# ~2.4e-16/sin(w): 2.4e-13 here, within UNIT_NORM_TOL, but 2.4e-10 at pi - 1e-6.
+ANTIPODAL_LIMIT = math.pi - 1e-3
 # Stage-arc bound of the multi-stage schemes, keeping SLERP on the minor arc.
 HALF_PI = 0.5 * math.pi
 
@@ -103,8 +105,9 @@ def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:
     Raises
     ------
     AntipodalPointsError
-        If the points are antipodal within 1e-8 radians, where the connecting
-        geodesic is not unique.
+        If the points are antipodal within 1e-3 radians (ANTIPODAL_LIMIT),
+        where the connecting geodesic is ill-defined and the result would
+        miss unit norm by more than UNIT_NORM_TOL.
     NonFiniteStateError
         If the separation is NaN (a NaN or infinite coordinate).
     """

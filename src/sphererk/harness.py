@@ -30,7 +30,7 @@ from .fields import (
     rigid_rotation_field,
     vortex4_field,
 )
-from .geometry import UNIT_NORM_TOL, UnitVector3, geodesic_distance, project, slerp
+from .geometry import ANTIPODAL_LIMIT, UNIT_NORM_TOL, UnitVector3, geodesic_distance, project, slerp
 from .integrators import SchemeId, grid_steps, integrate_steps, stepper_for
 from .quaternion import quat_slerp
 from .vec import Vec3
@@ -456,7 +456,7 @@ def verify_slerp_parity() -> SlerpParityReport:
         p = random_unit_vector(rng)
         q = random_unit_vector(rng)
         omega = geodesic_distance(p, q)
-        if not (1e-6 < omega < math.pi - 1e-3):
+        if not (1e-6 < omega < ANTIPODAL_LIMIT):
             continue
         count += 1
         for t in ts:

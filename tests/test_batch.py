@@ -13,10 +13,12 @@ from sphererk.batch import (
     slerp_rows,
 )
 from sphererk.errors import AntipodalPointsError, NonFiniteStateError, StepTooLargeError
-from sphererk.geometry import exp_raw, geodesic_distance, slerp
+from sphererk.geometry import UNIT_NORM_TOL, exp_raw, geodesic_distance, slerp
 from sphererk.integrators import snapshot_steps
+from sphererk.quaternion import quat_slerp
 
-OMEGAS = [0.0, 1e-12, 1e-9, 1e-7, 1e-3, 1.0, 3.0, math.pi - 1e-6]
+# The last separation sits just inside ANTIPODAL_LIMIT = pi - 1e-3.
+OMEGAS = [0.0, 1e-12, 1e-9, 1e-7, 1e-3, 1.0, 3.0, math.pi - 1.001e-3]
 
 
 def frame(n, seed=7):
@@ -57,9 +59,23 @@ def test_slerp_rows_matches_scalar_across_separations(omega):
         scalar = np.array([slerp(tuple(pi), tuple(qi), t) for pi, qi in zip(p, q)])
         assert np.max(np.abs(rows - scalar)) <= 1e-14
         # The sine weights grow like 1/sin(omega), and so does the rounding in
-        # the result's norm; below 1 rad (the nlerp rows included) it is 1e-15.
+        # the result's norm; below 1 rad (the nlerp rows included) it is 1e-15,
+        # and at the antipodal limit it reaches the unit tolerance.
         bound = 1e-15 if omega <= 1.0 else 1e-15 / math.sin(omega)
-        assert np.max(np.abs(row_norm(rows) - 1.0)) <= bound
+        assert np.max(np.abs(row_norm(rows) - 1.0)) <= min(bound, UNIT_NORM_TOL)
+
+
+# Past the limit the norm rounding (~2.4e-16/sin(omega)) would exceed
+# UNIT_NORM_TOL: 2.4e-10 at pi - 1e-6.
+@pytest.mark.parametrize("omega", [math.pi - 0.999e-3, math.pi - 1e-6])
+def test_slerp_rejects_separations_past_the_limit(omega):
+    p, q = pairs_at(omega)
+    with pytest.raises(AntipodalPointsError):
+        slerp_rows(p, q, 0.5)
+    for pi, qi in zip(p, q):
+        for route in (slerp, quat_slerp):
+            with pytest.raises(AntipodalPointsError):
+                route(tuple(pi), tuple(qi), 0.5)
 
 
 def test_slerp_rows_rejects_antipodal_rows():
