@@ -19,7 +19,6 @@ from .fields import (
     VortexConfig,
     projected_linear_field,
     rigid_rotation_field,
-    rotate_about,
     stability_interval,
     vortex4_field,
 )
@@ -29,7 +28,6 @@ from .geometry import (
     geodesic_distance,
     project,
     slerp,
-    unit_vector,
 )
 from .integrators import (
     SchemeId,

@@ -115,7 +115,7 @@ def _cmd_eikonal(args) -> int:
 
 def _cmd_pharmonic(args) -> int:
     curve = pharmonic.initial_discontinuous_curve(args.nodes)
-    dt = args.dt if args.dt is not None else pharmonic.default_dt(curve, args.p)
+    dt = args.dt if args.dt is not None else pharmonic.default_dt(curve, args.p, args.eps_reg)
     params = pharmonic.PFlowParams(p=args.p, dt=dt, t_final=args.t_final, eps_reg=args.eps_reg)
     snapshots = parse_float_list(args.snapshots) if args.snapshots else None
     snaps = pharmonic.pflow_evolve(curve, params, order=args.order, snapshot_times=snapshots)

@@ -17,8 +17,9 @@ stages while k takes the matching Cartesian TVDRK stages in lock step:
 unprojected Cartesian variants of the x-update are there for comparison runs.
 
 Rays are independent: ``trace_wavefront`` cuts the fan into blocks of
-RAY_BLOCK rows, marches each block as (n, 3) arrays through every step, and
-runs the blocks on a thread pool sized by the usable CPUs (numpy releases the
+RAY_BLOCK rows, marches each block as (n, 3) arrays through
+``integrators.integrate_steps``, keeping only the snapshot steps, and runs
+the blocks on a thread pool sized by the usable CPUs (numpy releases the
 interpreter lock inside its loops).  Each row's arithmetic is that of a
 one-block march, so the fronts are bit-identical whatever the block count and
 worker count; an error in any block is reported as the one-block march
@@ -40,31 +41,16 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .batch import check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows
 from .errors import DegenerateFrontError
 from .geometry import HALF_PI, UnitVector3
-from .integrators import snapshot_steps, tvdrk_step
+from .integrators import integrate_steps, snapshot_steps, tvdrk_step
 
 Y31_AMPLITUDE = -0.125 * math.sqrt(21.0 / math.pi)
-
-
-def y31(theta: float, phi: float):
-    """Spherical harmonic -(1/8) sqrt(21/pi) cos(phi) sin(theta) (5 cos^2(theta) - 1).
-
-    theta is the polar angle in [0, pi], phi the azimuth.  The magnitude stays
-    below 1, so 1 + y31 is a valid (positive) wave velocity.
-    """
-    ct = np.cos(theta)
-    return Y31_AMPLITUDE * np.cos(phi) * np.sin(theta) * (5.0 * ct * ct - 1.0)
-
-
-def spherical_to_cartesian(theta: float, phi: float) -> Tuple[float, float, float]:
-    st = math.sin(theta)
-    return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
 @dataclass(frozen=True)
@@ -221,10 +207,10 @@ _COUPLED = {
 }
 
 
-def _step_rows(scheme: str, model: VelocityModel, x: np.ndarray, k: np.ndarray, h: float):
-    """Advance all rays by one step of the requested coupled scheme."""
+def _step_rows(scheme: str, model: VelocityModel, y, t: float, h: float):
+    """Advance the rays y = (x, k) by one step of the requested coupled scheme."""
     order, euler, combine, normalize = _COUPLED[scheme]
-    x, k = tvdrk_step(order, euler, combine, model, (x, k), 0.0, h)
+    x, k = tvdrk_step(order, euler, combine, model, y, t, h)
     return (normalize_rows(x) if normalize else x), k
 
 
@@ -291,17 +277,15 @@ def trace_wavefront(
     """
     if scheme not in COUPLED_SCHEMES:
         raise ValueError(f"unknown coupled scheme {scheme!r}")
-    n_steps, want = snapshot_steps(h, t_final, snapshot_times)
+    snaps = sorted(snapshot_steps(h, t_final, snapshot_times))
     x0, k0 = initial_rays(model, xs, n_rays)
-    snaps = sorted(want)
     front_x = {i: np.empty_like(x0) for i in snaps}
     front_k = {i: np.empty_like(k0) for i in snaps}
+    step = partial(_step_rows, scheme)
 
     def march(rows: slice) -> None:
-        x, k = x0[rows], k0[rows]
-        for i in range(n_steps + 1):
-            if i:
-                x, k = _step_rows(scheme, model, x, k, h)
+        steps = integrate_steps(step, model, (x0[rows], k0[rows]), 0.0, t_final, h)
+        for i, (_, (x, k)) in enumerate(steps):
             if i in front_x:
                 front_x[i][rows] = x
                 front_k[i][rows] = k

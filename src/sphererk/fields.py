@@ -90,21 +90,6 @@ def rigid_rotation_field(omega: Vec3) -> VelocityField:
     return VelocityField(raw, name="rotation", params=tuple(omega))
 
 
-def rotate_about(omega: Vec3, p: Vec3, t: float) -> UnitVector3:
-    """Exact flow of the rigid rotation field: rotate p by angle |omega| t."""
-    w = vec.norm(omega)
-    if w == 0.0:
-        return UnitVector3(*p)
-    axis = vec.scale(omega, 1.0 / w)
-    angle = w * t
-    c, s = math.cos(angle), math.sin(angle)
-    # Rodrigues rotation
-    term1 = vec.scale(p, c)
-    term2 = vec.scale(vec.cross(axis, p), s)
-    term3 = vec.scale(axis, vec.dot(axis, p) * (1.0 - c))
-    return UnitVector3(*vec.add(vec.add(term1, term2), term3))
-
-
 def projected_linear_field(m: Matrix3) -> VelocityField:
     """Sphere-projected linear flow g(q) = (I - q q^T) M q.
 

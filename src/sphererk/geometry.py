@@ -57,17 +57,6 @@ def project(v: Vec3) -> UnitVector3:
     return UnitVector3(x / n, y / n, z / n)
 
 
-def unit_vector(x: float, y: float, z: float) -> UnitVector3:
-    """Construct a UnitVector3, rejecting inputs whose norm is off unity by more than UNIT_NORM_TOL.
-
-    A NaN or infinite coordinate fails the test too.
-    """
-    n = math.sqrt(x * x + y * y + z * z)
-    if not abs(n - 1.0) <= UNIT_NORM_TOL:
-        raise ValueError(f"norm {n!r} deviates from 1 by more than {UNIT_NORM_TOL}")
-    return UnitVector3(x, y, z)
-
-
 def geodesic_distance(p: Vec3, q: Vec3) -> float:
     """Arc length between two unit vectors, in [0, pi].
 

@@ -185,9 +185,11 @@ class Reference:
 _reference_cache: Dict[Tuple, Reference] = {}
 
 
-def _rk6_endpoint(problem: Problem, h: float) -> UnitVector3:
-    traj = integrate_steps(rk6_step, problem.f, problem.p0, 0.0, problem.t_final, h)
-    return project(traj[-1][1])
+def _endpoint(step, problem: Problem, h: float) -> Vec3:
+    """State at the problem's horizon; the steps before it are not kept."""
+    for _, x in integrate_steps(step, problem.f, problem.p0, 0.0, problem.t_final, h):
+        pass
+    return x
 
 
 def reference_endpoint(problem: Problem) -> Reference:
@@ -199,8 +201,8 @@ def reference_endpoint(problem: Problem) -> Reference:
     key = (f.name, f.params or f.raw, problem.p0, problem.t_final)
     if key not in _reference_cache:
         try:
-            fine = _rk6_endpoint(problem, REFERENCE_H)
-            coarse = _rk6_endpoint(problem, 2.0 * REFERENCE_H)
+            fine = project(_endpoint(rk6_step, problem, REFERENCE_H))
+            coarse = project(_endpoint(rk6_step, problem, 2.0 * REFERENCE_H))
         except SphereRKError as exc:
             raise ReferenceUnavailableError(f"reference integration failed: {exc}") from exc
         _reference_cache[key] = Reference(fine, vec.norm(vec.sub(fine, coarse)))
@@ -225,7 +227,7 @@ def run_convergence(
     ref = reference_endpoint(problem)
     rows = []
     for h in hs:
-        endpoint = integrate_steps(step, problem.f, problem.p0, 0.0, problem.t_final, h)[-1][1]
+        endpoint = _endpoint(step, problem, h)
         e2 = vec.norm(vec.sub(endpoint, ref.endpoint))
         enorm = abs(vec.norm(endpoint) - 1.0)
         rows.append(ConvergenceRow(h, e2, enorm))
@@ -291,8 +293,10 @@ def run_stability(
 
     The model matrix diag(1/2, -1/2, -1/2) makes both poles +-e1 attractors
     with eigenvalue gap sigma = -1, so the step size h plays the role of
-    sigma*h in the absolute-stability interval.  The run is ``integrate_steps``
-    over n_steps * h, so h must be finite and > 0.  A negative ``n_steps``
+    sigma*h in the absolute-stability interval.  The run steps through
+    ``integrate_steps`` over n_steps * h, so h must be finite and > 0, and
+    folds each state into its distance as it arrives: only the distances are
+    kept.  A negative ``n_steps``
     raises ValueError; a start point with a NaN or infinite coordinate raises
     NonFiniteStateError, whatever ``n_steps``.
     """
@@ -303,8 +307,8 @@ def run_stability(
     if not all(map(math.isfinite, x0)):
         raise NonFiniteStateError(f"stability start point {tuple(x0)!r} is not finite")
     f = projected_linear_field(STABILITY_MATRIX)
-    traj = integrate_steps(scheme_stepper(scheme), f, x0, 0.0, n_steps * h, h)
-    distances = [_attractor_distance(x) for _, x in traj]
+    steps = integrate_steps(scheme_stepper(scheme), f, x0, 0.0, n_steps * h, h)
+    distances = [_attractor_distance(x) for _, x in steps]
     verdict = "converged" if distances[-1] < CONVERGENCE_CUTOFF else "diverged"
     return StabilityRun(scheme.value, h, tuple(distances), verdict)
 

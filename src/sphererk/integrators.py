@@ -22,9 +22,11 @@ sphere steppers here, the Cartesian baselines and the eikonal and p-harmonic
 row steppers run it with their own substep and combination.
 
 ``grid_steps`` is the one step-grid rule: it checks a step size and a horizon
-and counts the steps of h in it.  ``integrate_steps`` (the scheme, baseline
-and stability runs) and ``snapshot_steps`` (the eikonal and p-harmonic
-flows) take their step counts from it.
+and counts the steps of h in it.  ``integrate_steps`` is the one step loop:
+the scheme, baseline and stability runs, the eikonal ray march and the
+p-harmonic flow all step through it.  It yields each (t, state) pair as it
+is asked for, so a driver holds only the states it keeps, and the flows keep
+those at the step indices ``snapshot_steps`` picks.
 
 Scheme coefficients for the fourth-order candidates are embedded verbatim as
 15-digit decimals; their rounding is the source of the ~1e-10 accuracy floor
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Set, Tuple
 
 from . import vec
 from .errors import NonFiniteStateError, SphereRKError, StepTooLargeError
@@ -247,8 +249,8 @@ def grid_steps(h: float, span: float) -> Tuple[int, bool]:
     return math.floor(n_float), False
 
 
-def snapshot_steps(h: float, t_final: float, times: Optional[Sequence[float]]) -> Tuple[int, Set[int]]:
-    """Step count to ``t_final`` and the step indices of the snapshot ``times``.
+def snapshot_steps(h: float, t_final: float, times: Optional[Sequence[float]]) -> Set[int]:
+    """Step indices of the snapshot ``times`` on the grid of ``h`` up to ``t_final``.
 
     t_final and each time (default: t_final alone) must be whole steps of
     ``h`` by ``grid_steps``, with the times' steps in [0, n_steps]; else
@@ -265,29 +267,33 @@ def snapshot_steps(h: float, t_final: float, times: Optional[Sequence[float]]) -
         if t < 0.0 or i > n_steps:
             raise ValueError(f"snapshot time {t!r} lies outside [0, t_final]")
         want.add(i)
-    return n_steps, want
+    return want
 
 
-def integrate_steps(step, f, x0, t0: float, t_final: float, h: float):
-    """Uniform-grid driver shared by the sphere schemes and the baselines.
+def integrate_steps(step, f, x0, t0: float, t_final: float, h: float) -> Iterator[Tuple[float, Any]]:
+    """The package's one step loop: (t, state) pairs from ``t0`` to ``t_final``.
 
-    Advances ``x0`` from ``t0`` to ``t_final`` in steps of ``h``; when
-    ``grid_steps`` finds the span is not a whole number of steps, the final
-    step is taken with reduced ``h``.  Returns the list of (t, state) pairs
-    including both endpoints.  Stepper errors are re-raised annotated with
-    the step index.
+    ``step(f, x, t, h)`` advances a state by one step.  ``grid_steps`` checks
+    h and the span at the call, so a bad one raises ValueError before any
+    step; when the span is not a whole number of steps, the final step is
+    taken with reduced h.  The pairs, both endpoints included, are computed
+    as they are asked for, so memory does not grow with the step count: the
+    first pair is (t0, x0), and each later one takes one stepper call.
+    Stepper errors are re-raised annotated with the step index and time.
     """
     span = t_final - t0
     n, whole = grid_steps(h, span)
-    sizes = [h] * n if whole else [h] * n + [span - n * h]
-    traj = [(t0, x0)]
-    x = x0
+    last = h if whole else span - n * h
+    return _step_loop(step, f, x0, t0, t_final, h, n if whole else n + 1, last)
+
+
+def _step_loop(step, f, x, t0: float, t_final: float, h: float, n: int, last: float):
     t = t0
-    for i, hi in enumerate(sizes):
+    yield t, x
+    for i in range(n):
         try:
-            x = step(f, x, t, hi)
+            x = step(f, x, t, h if i < n - 1 else last)
         except SphereRKError as exc:
             raise type(exc)(f"step {i} at t={t!r}: {exc}") from exc
-        t = t_final if i == len(sizes) - 1 else t0 + (i + 1) * h
-        traj.append((t, x))
-    return traj
+        t = t_final if i == n - 1 else t0 + (i + 1) * h
+        yield t, x

@@ -15,12 +15,17 @@ which reduces to the standard second difference at p = 2.  For p = 1 the
 weight is regularized (the flow is singular elliptic) and sharp jumps move
 slowly while small oscillations relax; for p = 2 jumps smooth out almost
 immediately.
+
+``pflow_evolve`` steps the whole curve with ``tvdrk_step`` over exp-map and
+SLERP rows, through the package's one step loop,
+``integrators.integrate_steps``, and keeps only the snapshot states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +33,7 @@ import numpy as np
 
 from .batch import check_arc, exp_rows, row_angle, row_dot, row_norm, slerp_rows
 from .geometry import HALF_PI, UNIT_NORM_TOL
-from .integrators import snapshot_steps, tvdrk_step
+from .integrators import integrate_steps, snapshot_steps, tvdrk_step
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,6 @@ def initial_discontinuous_curve(n_nodes: int) -> DirectorCurve:
     second = np.stack([-np.ones(half), y_down, -2.0 * np.sin(math.pi * y_down)], axis=1)
     pts = np.vstack([first, second])
     return DirectorCurve(pts / np.linalg.norm(pts, axis=1, keepdims=True))
-
-
-def seam_indices(n_nodes: int) -> Tuple[int, int]:
-    """Node indices whose forward gaps are the two branch junctions."""
-    return n_nodes // 2 - 1, n_nodes - 1
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -153,23 +153,18 @@ def pflow_evolve(
 
     The semi-discrete velocity is recomputed from the whole stage curve, so
     the method-of-lines system is advanced with the second- or third-order
-    scheme acting componentwise through exp-map and SLERP rows.  Snapshots
-    (defaulting to the final state only) must land on the step grid.
+    scheme acting componentwise through exp-map and SLERP rows, stepped
+    through ``integrate_steps``.  Snapshots (defaulting to the final state
+    only) must land on the step grid; only they are kept.
     """
     if order not in (2, 3):
         raise ValueError("order must be 2 or 3")
     dt = params.dt
-    n_steps, want = snapshot_steps(dt, params.t_final, snapshot_times)
+    want = snapshot_steps(dt, params.t_final, snapshot_times)
+    step = partial(tvdrk_step, order, _exp_euler, slerp_rows)
     flow = (curve0.ds, params.p, params.eps_reg)
-    m = curve0.m.copy()
-    out: List[Tuple[float, DirectorCurve]] = []
-    if 0 in want:
-        out.append((0.0, DirectorCurve(m.copy())))
-    for i in range(1, n_steps + 1):
-        m = tvdrk_step(order, _exp_euler, slerp_rows, flow, m, 0.0, dt)
-        if i in want:
-            out.append((i * dt, DirectorCurve(m.copy())))
-    return out
+    steps = integrate_steps(step, flow, curve0.m, 0.0, params.t_final, dt)
+    return [(i * dt, DirectorCurve(m.copy())) for i, (_, m) in enumerate(steps) if i in want]
 
 
 def write_snapshots_csv(

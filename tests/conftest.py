@@ -4,6 +4,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+from sphererk import vec
 from sphererk.geometry import UnitVector3
 
 
@@ -38,3 +39,30 @@ def read_csv_floats(path):
     """Data rows of a CSV file, every cell parsed with float() (raises on a non-number)."""
     lines = path.read_text().strip().split("\n")[1:]
     return np.array([[float(cell) for cell in line.split(",")] for line in lines])
+
+
+def rotate_about(omega, p, t):
+    """Exact flow of the rigid rotation field omega x p: rotate p by angle |omega| t."""
+    w = vec.norm(omega)
+    if w == 0.0:
+        return UnitVector3(*p)
+    axis = vec.scale(omega, 1.0 / w)
+    angle = w * t
+    c, s = math.cos(angle), math.sin(angle)
+    # Rodrigues rotation
+    term1 = vec.scale(p, c)
+    term2 = vec.scale(vec.cross(axis, p), s)
+    term3 = vec.scale(axis, vec.dot(axis, p) * (1.0 - c))
+    return UnitVector3(*vec.add(vec.add(term1, term2), term3))
+
+
+def seam_indices(n_nodes):
+    """Nodes of the discontinuous director curve whose forward gaps are its two branch junctions."""
+    return n_nodes // 2 - 1, n_nodes - 1
+
+
+def last_state(steps):
+    """State of the last (t, state) pair of an ``integrate_steps`` iterator; no other is kept."""
+    for _, x in steps:
+        pass
+    return x

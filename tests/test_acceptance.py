@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import seeded_unit_vectors
+from conftest import last_state, rotate_about, seam_indices, seeded_unit_vectors
 from sphererk import eikonal, harness, pharmonic, vec
 from sphererk.baselines import BaselineId, baseline_stepper
-from sphererk.fields import rigid_rotation_field, rotate_about, stability_interval
+from sphererk.fields import rigid_rotation_field, stability_interval
 from sphererk.geometry import UnitVector3, geodesic_distance, slerp
 from sphererk.integrators import SchemeId, integrate_steps, stepper_for
 from sphererk.quaternion import quat_slerp
@@ -106,7 +106,7 @@ def test_c03_ssprk54_error_floor():
     step = stepper_for(SchemeId.SSSPRK54)
     errs = []
     for h in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4):
-        end = integrate_steps(step, prob.f, prob.p0, 0.0, prob.t_final, h)[-1][1]
+        end = last_state(integrate_steps(step, prob.f, prob.p0, 0.0, prob.t_final, h))
         errs.append(vec.norm(vec.sub(end, ref)))
     flattened = errs[-1] > errs[-2] / 3.0  # an order-3 scheme would shrink 8x
     near_1e10 = 1e-12 < min(errs) < 5e-9
@@ -216,7 +216,7 @@ def test_c08_great_circle_exactness():
             per_step_worst = max(per_step_worst, err)
     revolution_worst = 0.0
     for scheme in (SchemeId.SFE, SchemeId.STVDRK2, SchemeId.STVDRK3):
-        end = integrate_steps(stepper_for(scheme), f, p, 0.0, 2.0 * math.pi, math.pi / 100.0)[-1][1]
+        end = last_state(integrate_steps(stepper_for(scheme), f, p, 0.0, 2.0 * math.pi, math.pi / 100.0))
         revolution_worst = max(revolution_worst, vec.norm(vec.sub(end, p)))
     announce(
         "criterion-8 (rotation exact to 1e-12/step up to 0.9*pi/2; revolution 1e-10)",
@@ -276,7 +276,7 @@ def test_c10_eikonal_sphere_invariance():
 def test_c11_pharmonic_flow_properties():
     n = 32
     curve = pharmonic.initial_discontinuous_curve(n)
-    s1, s2 = pharmonic.seam_indices(n)
+    s1, s2 = seam_indices(n)
     j0 = pharmonic.node_jumps(curve)
 
     # p = 2: jump heals to the grid scale by the time half the energy is gone

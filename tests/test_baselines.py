@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import last_state
 from sphererk import vec
 from sphererk.baselines import (
     BASELINE_STEPPERS,
@@ -128,7 +129,7 @@ def test_norm_error_orders_of_unprojected_schemes():
         rows = []
         for k in range(4):
             h = 0.1 * 2.0**-k
-            end = integrate_steps(baseline_stepper(scheme), VORTEX, P0, 0.0, 2.0, h)[-1][1]
+            end = last_state(integrate_steps(baseline_stepper(scheme), VORTEX, P0, 0.0, 2.0, h))
             rows.append((h, abs(vec.norm(end) - 1.0)))
         slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
         assert abs(slope - order) <= 0.3, scheme

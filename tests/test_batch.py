@@ -130,7 +130,7 @@ def test_snapshot_steps_rejects_times_off_the_horizon(t):
 
 
 def test_snapshot_steps_accepts_zero_horizon():
-    assert snapshot_steps(0.1, 0.0, None) == (0, {0})
+    assert snapshot_steps(0.1, 0.0, None) == {0}
 
 
 def test_check_arc_passes_below_limit():

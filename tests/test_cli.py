@@ -91,6 +91,21 @@ def test_eikonal_writes_snapshots(tmp_path):
     assert len(lines) == 1 + 16
 
 
+def test_pharmonic_eps_reg_reaches_the_default_step(monkeypatch, tmp_path):
+    seen = []
+    default_dt = pharmonic.default_dt
+
+    def spy(curve, p, eps_reg=1e-6):
+        seen.append(eps_reg)
+        return default_dt(curve, p, eps_reg)
+
+    monkeypatch.setattr(pharmonic, "default_dt", spy)
+    code = main(["pharmonic", "--p", "1", "--nodes", "16", "--t-final", "0", "--eps-reg", "0.5",
+                 "--out", str(tmp_path / "flow.csv")])
+    assert code == 0
+    assert seen == [0.5]
+
+
 def test_eikonal_scheme_override(tmp_path):
     out = tmp_path / "front.csv"
     code = main([

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sphererk.eikonal import (
     CSV_CHUNK_ROWS,
     MODELS,
     RAY_BLOCK,
+    Y31_AMPLITUDE,
     VelocityModel,
     Wavefront,
     constant_model,
@@ -22,17 +24,30 @@ from sphererk.eikonal import (
     hamiltonian,
     initial_rays,
     scheme_for_order,
-    spherical_to_cartesian,
     trace_wavefront,
     wavefront_E2,
     write_wavefronts_csv,
-    y31,
     y31_model,
 )
 from sphererk.errors import DegenerateFrontError, NonFiniteStateError, StepTooLargeError
 from sphererk.geometry import UnitVector3, exp_raw, geodesic_distance, slerp
+from sphererk.integrators import integrate_steps
 
 XS = UnitVector3(1.0, 0.0, 0.0)
+
+
+def y31(theta, phi):
+    """Spherical harmonic -(1/8) sqrt(21/pi) cos(phi) sin(theta) (5 cos^2(theta) - 1).
+
+    theta is the polar angle in [0, pi], phi the azimuth.
+    """
+    ct = np.cos(theta)
+    return Y31_AMPLITUDE * np.cos(phi) * np.sin(theta) * (5.0 * ct * ct - 1.0)
+
+
+def spherical_to_cartesian(theta, phi):
+    st = math.sin(theta)
+    return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
 def test_batch_exp_matches_scalar():
@@ -174,7 +189,7 @@ def test_gaussian_velocity_front_folds_after_five_intervals():
 
 
 def test_single_ray_step():
-    x, k = _step_rows("stvdrk3", constant_model(), np.array([XS]), np.array([[0.0, 1.0, 0.0]]), 0.05)
+    x, k = _step_rows("stvdrk3", constant_model(), (np.array([XS]), np.array([[0.0, 1.0, 0.0]])), 0.0, 0.05)
     assert abs(vec.norm(x[0]) - 1.0) < 1e-14
     assert geodesic_distance(x[0], XS) == pytest.approx(0.05, abs=1e-6)
 
@@ -413,13 +428,10 @@ def test_cli_reports_a_failed_formatter_without_traceback(monkeypatch, tmp_path,
 
 
 def _one_block_march(scheme, model, n_rays, h, n_steps):
-    """Every ray stepped as one block, front by front: the reference for the block march."""
-    x, k = initial_rays(model, XS, n_rays)
-    fronts = [(x, k)]
-    for _ in range(n_steps):
-        x, k = _step_rows(scheme, model, x, k, h)
-        fronts.append((x, k))
-    return fronts
+    """Every ray stepped as one block through ``integrate_steps``, front by
+    front: the reference for the block march."""
+    rays = initial_rays(model, XS, n_rays)
+    return [y for _, y in integrate_steps(partial(_step_rows, scheme), model, rays, 0.0, n_steps * h, h)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

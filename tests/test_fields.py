@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from conftest import seeded_unit_vectors
+from conftest import rotate_about, seeded_unit_vectors
 from sphererk import vec
 from sphererk.errors import NearPoleError
 from sphererk.fields import (
@@ -13,7 +13,6 @@ from sphererk.fields import (
     diag,
     projected_linear_field,
     rigid_rotation_field,
-    rotate_about,
     stability_interval,
     vortex4_field,
 )
@@ -162,6 +161,6 @@ def test_projected_linear_trajectories_stay_on_sphere():
     from sphererk.integrators import SchemeId, integrate_steps, stepper_for
 
     g = projected_linear_field(STABILITY_MATRIX)
-    traj = integrate_steps(stepper_for(SchemeId.STVDRK3), g, project((1.0, 1.0, 1.0)), 0.0, 2.0, 1e-3)
-    worst = max(abs(vec.norm(p) - 1.0) for _, p in traj)
+    steps = integrate_steps(stepper_for(SchemeId.STVDRK3), g, project((1.0, 1.0, 1.0)), 0.0, 2.0, 1e-3)
+    worst = max(abs(vec.norm(p) - 1.0) for _, p in steps)
     assert worst <= 1e-10

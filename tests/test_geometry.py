@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import seeded_unit_vectors, unit_vectors
 from sphererk import vec
 from sphererk.errors import AntipodalPointsError, ZeroVectorError
-from sphererk.geometry import ANTIPODAL_LIMIT, UnitVector3, exp_raw, geodesic_distance, project, slerp, unit_vector
+from sphererk.geometry import ANTIPODAL_LIMIT, UnitVector3, exp_raw, geodesic_distance, project, slerp
 
 SQ2 = math.sqrt(0.5)
 
@@ -23,21 +23,6 @@ def test_project_diagonal():
 def test_project_zero_vector_rejected():
     with pytest.raises(ZeroVectorError):
         project((0.0, 0.0, 0.0))
-
-
-def test_unit_vector_rejects_off_sphere():
-    with pytest.raises(ValueError):
-        unit_vector(1.0, 0.1, 0.0)
-    assert unit_vector(0.0, 1.0, 0.0) == UnitVector3(0.0, 1.0, 0.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_unit_vector_rejects_non_finite(bad):
-    # abs(nan - 1) > tol is False: the test must be written so NaN fails it
-    with pytest.raises(ValueError):
-        unit_vector(bad, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        unit_vector(0.0, 1.0, bad)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import last_state, rotate_about
 from sphererk import harness, vec
 from sphererk.baselines import rk6_step
 from sphererk.errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError
@@ -78,7 +79,7 @@ STVDRK3_FINE_ENDPOINT = (-0.5922305982738809, 0.36934451521402006, 0.71613374976
 
 
 def _rk6_endpoint(prob, h):
-    return project(integrate_steps(rk6_step, prob.f, prob.p0, 0.0, prob.t_final, h)[-1][1])
+    return project(last_state(integrate_steps(rk6_step, prob.f, prob.p0, 0.0, prob.t_final, h)))
 
 
 def test_reference_is_cached():
@@ -128,8 +129,6 @@ def test_reference_method_is_sixth_order_on_vortex4():
 def test_rotation_problem_reference_matches_closed_form():
     prob = rotation_problem()
     ref = reference_endpoint(prob)
-    from sphererk.fields import rotate_about
-
     exact = rotate_about((1.0, 0.0, 0.0), prob.p0, prob.t_final)
     assert vec.norm(vec.sub(ref.endpoint, exact)) < 1e-14
 

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import last_state, rotate_about
 from sphererk import vec
 from sphererk.baselines import BASELINE_STEPPERS, BaselineId, baseline_stepper
+from sphererk.eikonal import VelocityModel, trace_wavefront
 from sphererk.errors import NonFiniteStateError, SphereRKError, StepTooLargeError
-from sphererk.fields import VelocityField, rigid_rotation_field, rotate_about, vortex4_field
+from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
 from sphererk.geometry import HALF_PI, UnitVector3, exp_raw, geodesic_distance, project, slerp
 from sphererk.integrators import (
     STEPPERS,
@@ -25,6 +28,7 @@ from sphererk.integrators import (
     stvdrk3_step,
     stvdrk4_step,
 )
+from sphererk.pharmonic import PFlowParams, default_dt, initial_discontinuous_curve, pflow_evolve
 
 ZERO_FIELD = VelocityField(lambda p, t: (0.0, 0.0, 0.0), name="zero")
 VORTEX = vortex4_field()
@@ -69,7 +73,7 @@ def test_ssprk54_rotation_coefficient_floor():
 
 
 def _one_step_reference(f, p, t, h):
-    return integrate_steps(stvdrk3_step, f, p, t, t + h, h / 1000.0)[-1][1]
+    return last_state(integrate_steps(stvdrk3_step, f, p, t, t + h, h / 1000.0))
 
 
 def _local_order(step, hs=(0.1, 0.05, 0.025, 0.0125)):
@@ -104,7 +108,7 @@ def test_global_orders_against_closed_form_rotation(scheme, order):
     rows = []
     for k in range(5):
         h = 0.1 * 2.0**-k
-        end = integrate_steps(stepper_for(scheme), f, p0, 0.0, 1.0, h)[-1][1]
+        end = last_state(integrate_steps(stepper_for(scheme), f, p0, 0.0, 1.0, h))
         rows.append((h, vec.norm(vec.sub(end, exact))))
     slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
     assert abs(slope - order) <= 0.3
@@ -352,36 +356,91 @@ def test_stvdrk_guard_at_half_pi():
 
 
 def test_integrate_zero_span():
-    traj = integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 0.0, 0.1)
+    traj = list(integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 0.0, 0.1))
     assert traj == [(0.0, P0)]
 
 
 def test_integrate_counts_and_grid():
-    traj = integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, 1.0, 0.1)
+    traj = list(integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, 1.0, 0.1))
     assert len(traj) == 11
     assert traj[-1][0] == 1.0
     assert traj[3][0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_integrate_partial_final_step():
-    traj = integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.1)
+    traj = list(integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.1))
     assert len(traj) == 4  # ceil(2.5) + 1
     assert traj[-1][0] == 0.25
     # endpoint agrees with an exactly divisible run to the same time
-    other = integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.05)
-    assert vec.norm(vec.sub(traj[-1][1], other[-1][1])) < 5e-3
+    other = last_state(integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.05))
+    assert vec.norm(vec.sub(traj[-1][1], other)) < 5e-3
 
 
 def test_integrate_full_revolution_returns_home():
     f = rigid_rotation_field(OMEGA)
-    traj = integrate_steps(stepper_for(SchemeId.STVDRK3), f, EQUATOR_P, 0.0, 2.0 * math.pi, math.pi / 100.0)
-    assert vec.norm(vec.sub(traj[-1][1], EQUATOR_P)) <= 1e-10
+    end = last_state(integrate_steps(stepper_for(SchemeId.STVDRK3), f, EQUATOR_P, 0.0, 2.0 * math.pi, math.pi / 100.0))
+    assert vec.norm(vec.sub(end, EQUATOR_P)) <= 1e-10
 
 
 def test_integrate_annotates_step_errors():
     f = rigid_rotation_field((0.0, 0.0, 4.0))
     with pytest.raises(StepTooLargeError, match="step 0"):
-        integrate_steps(stepper_for(SchemeId.SFE), f, P0, 0.0, 2.0, 1.0)
+        list(integrate_steps(stepper_for(SchemeId.SFE), f, P0, 0.0, 2.0, 1.0))
+
+
+def test_integrate_steps_holds_no_memory_before_the_first_step():
+    # the step grid is counted, not built: what is held when the first step
+    # runs must not grow with the step count
+    held = {}
+
+    def failing(f, x, t, h):
+        held[n] = tracemalloc.get_traced_memory()[0] - start
+        raise StepTooLargeError("first step")
+
+    tracemalloc.start()
+    try:
+        for n in (10**3, 10**7):
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(StepTooLargeError, match=r"^step 0 at t=0\.0: first step$"):
+                for _ in integrate_steps(failing, ZERO_FIELD, P0, 0.0, float(n), 1.0):
+                    pass
+    finally:
+        tracemalloc.stop()
+    assert held[10**7] <= held[10**3] + 512
+
+
+def test_integrate_steps_steps_only_when_asked():
+    calls = []
+
+    def counting(f, x, t, h):
+        calls.append(t)
+        return x
+
+    steps = integrate_steps(counting, ZERO_FIELD, P0, 0.0, 1.0, 0.1)
+    assert calls == []
+    for k in range(1, 12):
+        next(steps)
+        assert len(calls) == k - 1
+    with pytest.raises(StopIteration):
+        next(steps)
+    assert len(calls) == 10
+
+
+def test_row_flows_report_the_failing_step():
+    # unit speed from e1, NaN speed beyond distance 0.25: the rays reach it in step 2
+    def v(x):
+        out = np.ones(x.shape[:-1])
+        out[x[..., 0] < math.cos(0.25)] = math.nan
+        return out
+
+    model = VelocityModel("nan-cap", v=v, grad_v=lambda x: np.zeros_like(x))
+    with pytest.raises(NonFiniteStateError, match=r"^step 2 at t=0\.2: ray stage velocity"):
+        trace_wavefront(model, UnitVector3(1.0, 0.0, 0.0), 8, 0.1, 0.5)
+    # ten times the default step: the seams' arcs pass pi/2 in step 1
+    curve = initial_discontinuous_curve(16)
+    dt = 10.0 * default_dt(curve, 2.0)
+    with pytest.raises(StepTooLargeError, match=r"^step 1 at t=0\.00390625: node stage arc"):
+        pflow_evolve(curve, PFlowParams(p=2.0, dt=dt, t_final=50 * dt))
 
 
 def test_integrate_validates_arguments():
@@ -415,14 +474,14 @@ def test_snapshot_steps_rejects_time_between_grid_points():
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_sphere_invariance_along_trajectories(scheme):
-    traj = integrate_steps(stepper_for(scheme), VORTEX, P0, 0.0, 0.5, 1e-2)
-    worst = max(abs(vec.norm(p) - 1.0) for _, p in traj)
+    steps = integrate_steps(stepper_for(scheme), VORTEX, P0, 0.0, 0.5, 1e-2)
+    worst = max(abs(vec.norm(p) - 1.0) for _, p in steps)
     assert worst <= 1e-12
 
 
 def test_endpoint_matches_fine_reference():
-    end = integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-3)[-1][1]
-    ref = integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-4)[-1][1]
+    end = last_state(integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-3))
+    ref = last_state(integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-4))
     assert vec.norm(vec.sub(end, ref)) < 1e-8
 
 
@@ -437,7 +496,7 @@ NAN_FIELD = VelocityField(lambda p, t: (math.nan, math.nan, math.nan), name="nan
 def test_nan_field_raises_for_every_scheme(scheme):
     step = STEPPERS[scheme] if isinstance(scheme, SchemeId) else BASELINE_STEPPERS[scheme]
     with pytest.raises(SphereRKError):
-        integrate_steps(step, NAN_FIELD, P0, 0.0, 0.2, 0.1)
+        list(integrate_steps(step, NAN_FIELD, P0, 0.0, 0.2, 0.1))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -467,7 +526,7 @@ CANDIDATES = {
 )
 def test_stage_time_steppers_accept_non_autonomous_fields(step):
     # the exact flow turns P0 about e3 by t + t^2/2
-    end = integrate_steps(step, SPUN_UP, P0, 0.0, 0.5, 0.01)[-1][1]
+    end = last_state(integrate_steps(step, SPUN_UP, P0, 0.0, 0.5, 0.01))
     angle = 0.5 + 0.5**2 / 2.0
     assert vec.norm(vec.sub(project(end), (math.cos(angle), math.sin(angle), 0.0))) < 0.02
 
@@ -503,7 +562,7 @@ def test_stage_times_keep_the_order_on_a_time_dependent_field(name, order):
     # with every stage at the step's start time each scheme here would fit about 1
     hs = [0.05 * 2.0**-k for k in range(5)]
     exact = _twirl_exact(2.0)
-    errs = [vec.norm(vec.sub(integrate_steps(TWIRL_STEPPERS[name], TWIRL, TWIRL_P0, 0.0, 2.0, h)[-1][1],
+    errs = [vec.norm(vec.sub(last_state(integrate_steps(TWIRL_STEPPERS[name], TWIRL, TWIRL_P0, 0.0, 2.0, h)),
                              exact)) for h in hs]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - order) <= 0.25
@@ -526,8 +585,8 @@ def _stvdrk3_chain(f, p, t, h):
 @pytest.mark.parametrize("step,chain", [(stvdrk2_step, _stvdrk2_chain), (stvdrk3_step, _stvdrk3_chain)])
 @pytest.mark.parametrize("field,p0", [(VORTEX, P0), (TWIRL, TWIRL_P0)], ids=["vortex4", "twirl"])
 def test_tvdrk_step_equals_the_written_out_chain(step, chain, field, p0):
-    got = integrate_steps(step, field, p0, 0.0, 2.0, 0.05)
-    assert got == integrate_steps(chain, field, p0, 0.0, 2.0, 0.05)
+    got = list(integrate_steps(step, field, p0, 0.0, 2.0, 0.05))
+    assert got == list(integrate_steps(chain, field, p0, 0.0, 2.0, 0.05))
 
 
 # Endpoints at T = 2 with h = 0.1 on TWIRL, recorded from the written-out
@@ -547,7 +606,7 @@ PINNED_TWIRL_ENDPOINTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_TWIRL_ENDPOINTS))
 def test_pinned_endpoints_on_a_time_dependent_field(name):
-    end = integrate_steps(TVDRK_FAMILY[name], TWIRL, TWIRL_P0, 0.0, 2.0, 0.1)[-1][1]
+    end = last_state(integrate_steps(TVDRK_FAMILY[name], TWIRL, TWIRL_P0, 0.0, 2.0, 0.1))
     assert vec.norm(vec.sub(end, PINNED_TWIRL_ENDPOINTS[name])) <= 1e-14
 
 
@@ -572,7 +631,7 @@ PINNED_CANDIDATE_ENDPOINTS = {
                          ids=[f"{field}-{name}" for field, name in sorted(PINNED_CANDIDATE_ENDPOINTS)])
 def test_pinned_candidate_endpoints(field, name):
     f, p0 = (VORTEX, P0) if field == "vortex4" else (TWIRL, TWIRL_P0)
-    end = integrate_steps(CANDIDATES[name], f, p0, 0.0, 2.0, 0.1)[-1][1]
+    end = last_state(integrate_steps(CANDIDATES[name], f, p0, 0.0, 2.0, 0.1))
     assert vec.norm(vec.sub(end, PINNED_CANDIDATE_ENDPOINTS[field, name])) <= 1e-14
 
 
@@ -598,5 +657,5 @@ PINNED_RK_ENDPOINTS = {
                          ids=[f"{field}-{name}" for field, name in sorted(PINNED_RK_ENDPOINTS)])
 def test_pinned_rk_endpoints(field, name):
     f, p0 = (VORTEX, P0) if field == "vortex4" else (TWIRL, TWIRL_P0)
-    end = integrate_steps(baseline_stepper(name), f, p0, 0.0, 2.0, 0.1)[-1][1]
+    end = last_state(integrate_steps(baseline_stepper(name), f, p0, 0.0, 2.0, 0.1))
     assert vec.norm(vec.sub(end, PINNED_RK_ENDPOINTS[(field, name)])) <= 1e-14

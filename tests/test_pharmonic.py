@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import read_csv_floats
+from conftest import read_csv_floats, seam_indices
 from sphererk.errors import NonFiniteStateError, StepTooLargeError
 from sphererk.pharmonic import (
     _lap_rows,
@@ -15,7 +15,6 @@ from sphererk.pharmonic import (
     node_jumps,
     p_energy,
     pflow_evolve,
-    seam_indices,
     total_variation,
     write_snapshots_csv,
 )
@@ -155,6 +154,15 @@ def test_default_dt_values():
     c = initial_discontinuous_curve(64)
     assert default_dt(c, 2.0) == pytest.approx(0.1 / 64**2)
     assert default_dt(c, 1.0) <= 0.1 / 64**2 + 1e-18
+
+
+def test_default_dt_follows_eps_reg_on_a_nearly_constant_curve():
+    # gradients below 1e-6: at p = 1 the largest flux weight is ~1/eps_reg
+    a = 1e-7 * np.sin(2.0 * math.pi * np.arange(16) / 16)
+    c = DirectorCurve(np.stack([np.sin(a), np.zeros(16), np.cos(a)], axis=1))
+    assert default_dt(c, 1.0, eps_reg=1e-2) == pytest.approx(0.1 * c.ds**2 / 1e2, rel=1e-8)
+    assert default_dt(c, 1.0, eps_reg=1e-1) == pytest.approx(0.1 * c.ds**2 / 1e1, rel=1e-8)
+    assert default_dt(c, 2.0, eps_reg=1e-2) == 0.1 * c.ds**2
 
 
 def test_step_guard_on_oversized_dt():
