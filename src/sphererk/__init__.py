@@ -8,6 +8,7 @@ from .errors import (
     NearPoleError,
     NonFiniteStateError,
     NonPositiveError,
+    NonTangentVelocityError,
     ReferenceUnavailableError,
     SphereRKError,
     StepTooLargeError,

@@ -3,10 +3,12 @@
 These are the comparison schemes: Cartesian steppers that either ignore the
 sphere constraint (FE, RK2-4, TVDRK2-3), radially project the final stage
 (PFE, PRK2-4, PTVDRK2, PTVDRK3), or project every intermediate stage (the
-primed internal-projection variants PTVDRK2', PTVDRK3').  The TVDRK family
-runs ``integrators.tvdrk_step`` with forward Euler and linear interpolation,
-projected after every substep and combination in the primed variants.  RK2-4
-and ``rk6_step`` share one loop over Butcher tableaux (c, A, b).
+primed internal-projection variants PTVDRK2', PTVDRK3').  Each table entry
+is one of three constructions: ``_butcher_step`` on a tableau (c, A, b) for
+RK2-4, ``integrators.tvdrk_step`` over forward Euler and linear
+interpolation for the TVDRK family (their projected forms for the primed
+variants), or ``_projected`` of another entry.  The table is declared as an
+unprojected and a projected half, and ``ON_SPHERE`` is the projected half.
 
 The velocity field is always evaluated through the closest-point extension
 f(x, t) = f(x/|x|, t), so stage values slightly off the sphere remain legal
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 from typing import Callable, Dict
 
 from . import vec
@@ -114,18 +117,6 @@ def _butcher_step(tableau, f: VelocityField, x: Vec3, t: float, h: float) -> Vec
     return x
 
 
-def _rk2(f, x, t, h):
-    return _butcher_step(RK2_TABLEAU, f, x, t, h)
-
-
-def _rk3(f, x, t, h):
-    return _butcher_step(RK3_TABLEAU, f, x, t, h)
-
-
-def _rk4(f, x, t, h):
-    return _butcher_step(RK4_TABLEAU, f, x, t, h)
-
-
 def rk6_step(f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
     """One unprojected step of Butcher's sixth-order RK on the extension f(x/|x|, t).
 
@@ -136,72 +127,35 @@ def rk6_step(f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
     return _butcher_step(RK6_TABLEAU, f, x, t, h)
 
 
-def _tvdrk2(f, x, t, h):
-    return tvdrk_step(2, _fe, _lerp, f, x, t, h)
+def _projected(step: BaselineStepper) -> BaselineStepper:
+    """``step`` with its output radially projected to the sphere."""
+    return lambda f, x, t, h: project(step(f, x, t, h))
 
 
-def _tvdrk3(f, x, t, h):
-    return tvdrk_step(3, _fe, _lerp, f, x, t, h)
-
-
-def _prk2(f, x, t, h):
-    return project(_rk2(f, x, t, h))
-
-
-def _prk3(f, x, t, h):
-    return project(_rk3(f, x, t, h))
-
-
-def _prk4(f, x, t, h):
-    return project(_rk4(f, x, t, h))
-
-
-def _ptvdrk2(f, x, t, h):
-    return project(_tvdrk2(f, x, t, h))
-
-
-def _ptvdrk2p(f, x, t, h):
-    return tvdrk_step(2, _pfe, _plerp, f, x, t, h)
-
-
-def _ptvdrk3(f, x, t, h):
-    return project(_tvdrk3(f, x, t, h))
-
-
-def _ptvdrk3p(f, x, t, h):
-    return tvdrk_step(3, _pfe, _plerp, f, x, t, h)
-
-
-BASELINE_STEPPERS: Dict[BaselineId, BaselineStepper] = {
+# No entry binds ``project``: it is looked up when a step runs, so replacing
+# ``baselines.project`` (as perfbench's tracer does) reaches every projection.
+_UNPROJECTED: Dict[BaselineId, BaselineStepper] = {
     BaselineId.FE: _fe,
-    BaselineId.RK2: _rk2,
-    BaselineId.RK3: _rk3,
-    BaselineId.RK4: _rk4,
-    BaselineId.TVDRK2: _tvdrk2,
-    BaselineId.TVDRK3: _tvdrk3,
-    BaselineId.PFE: _pfe,
-    BaselineId.PRK2: _prk2,
-    BaselineId.PRK3: _prk3,
-    BaselineId.PRK4: _prk4,
-    BaselineId.PTVDRK2: _ptvdrk2,
-    BaselineId.PTVDRK2P: _ptvdrk2p,
-    BaselineId.PTVDRK3: _ptvdrk3,
-    BaselineId.PTVDRK3P: _ptvdrk3p,
+    BaselineId.RK2: partial(_butcher_step, RK2_TABLEAU),
+    BaselineId.RK3: partial(_butcher_step, RK3_TABLEAU),
+    BaselineId.RK4: partial(_butcher_step, RK4_TABLEAU),
+    BaselineId.TVDRK2: partial(tvdrk_step, 2, _fe, _lerp),
+    BaselineId.TVDRK3: partial(tvdrk_step, 3, _fe, _lerp),
 }
+_PROJECTED: Dict[BaselineId, BaselineStepper] = {
+    BaselineId.PFE: _pfe,
+    BaselineId.PRK2: _projected(_UNPROJECTED[BaselineId.RK2]),
+    BaselineId.PRK3: _projected(_UNPROJECTED[BaselineId.RK3]),
+    BaselineId.PRK4: _projected(_UNPROJECTED[BaselineId.RK4]),
+    BaselineId.PTVDRK2: _projected(_UNPROJECTED[BaselineId.TVDRK2]),
+    BaselineId.PTVDRK2P: partial(tvdrk_step, 2, _pfe, _plerp),
+    BaselineId.PTVDRK3: _projected(_UNPROJECTED[BaselineId.TVDRK3]),
+    BaselineId.PTVDRK3P: partial(tvdrk_step, 3, _pfe, _plerp),
+}
+BASELINE_STEPPERS: Dict[BaselineId, BaselineStepper] = {**_UNPROJECTED, **_PROJECTED}
 
 # Projected variants end every step on the sphere; the rest drift off it.
-ON_SPHERE = frozenset(
-    {
-        BaselineId.PFE,
-        BaselineId.PRK2,
-        BaselineId.PRK3,
-        BaselineId.PRK4,
-        BaselineId.PTVDRK2,
-        BaselineId.PTVDRK2P,
-        BaselineId.PTVDRK3,
-        BaselineId.PTVDRK3P,
-    }
-)
+ON_SPHERE = frozenset(_PROJECTED)
 
 
 def baseline_stepper(scheme: BaselineId) -> BaselineStepper:

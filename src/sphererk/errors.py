@@ -17,6 +17,10 @@ class StepTooLargeError(SphereRKError, ValueError):
     """A stage arc length h*|f| exceeds the bound that keeps SLERP on the minor arc."""
 
 
+class NonTangentVelocityError(SphereRKError, ValueError):
+    """A velocity has a normal part at its point large enough to move the step off the sphere."""
+
+
 class NonFiniteStateError(SphereRKError, ArithmeticError):
     """A state, velocity or error value is NaN or infinite, so no guard can vouch for it."""
 

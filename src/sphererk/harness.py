@@ -162,7 +162,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     scheme: str
-    problem: str
     rows: Tuple[ConvergenceRow, ...]
     order_e2: Optional[float]
     order_enorm: Optional[float]
@@ -246,7 +245,6 @@ def run_convergence(
         order_enorm = _fit_asymptotic([(r.h, r.enorm) for r in rows])
     return ConvergenceReport(
         scheme=scheme.value,
-        problem=problem.f.name,
         rows=tuple(rows),
         order_e2=order_e2,
         order_enorm=order_enorm,
@@ -332,8 +330,6 @@ def tvdrk2_planar_norm(a: float, b: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class AppendixAReport:
-    a: float
-    b: float
     c2_measured: float
     c2_exact: float
     c4_measured: float
@@ -384,8 +380,7 @@ def verify_appendix_a() -> AppendixAReport:
         and abs(coupled_slope - 4.0) <= 0.3
     )
     return AppendixAReport(
-        a, b, c2_measured, c2_exact, c4_measured, c4_exact, c4_printed,
-        coupled_slope, passed,
+        c2_measured, c2_exact, c4_measured, c4_exact, c4_printed, coupled_slope, passed
     )
 
 

@@ -41,9 +41,9 @@ from enum import Enum
 from typing import Any, Callable, Iterator, Optional, Sequence, Set, Tuple
 
 from . import vec
-from .errors import NonFiniteStateError, SphereRKError, StepTooLargeError
+from .errors import NonFiniteStateError, NonTangentVelocityError, SphereRKError, StepTooLargeError
 from .fields import VelocityField
-from .geometry import HALF_PI, UnitVector3, exp_raw, project, slerp
+from .geometry import HALF_PI, UNIT_NORM_TOL, UnitVector3, exp_raw, project, slerp
 from .vec import Vec3
 
 Stepper = Callable[[VelocityField, UnitVector3, float, float], UnitVector3]
@@ -67,7 +67,12 @@ class SchemeId(str, Enum):
 
 
 def _advance(p: Vec3, v: Vec3, eff_h: float, limit: float) -> UnitVector3:
-    """One exp-map substep exp_p(eff_h * v), guarding the stage arc length."""
+    """One exp-map substep exp_p(eff_h * v), guarding the stage arc and v's normal part.
+
+    To first order exp_p(h v) moves |p| by h (p . v), so the normal part is
+    bounded in that unit, not relative to |v|: near an equilibrium |v| -> 0
+    while the rounding in p . v does not.
+    """
     vx, vy, vz = v
     arc = abs(eff_h) * math.sqrt(vx * vx + vy * vy + vz * vz)
     if not (arc < limit):
@@ -75,6 +80,12 @@ def _advance(p: Vec3, v: Vec3, eff_h: float, limit: float) -> UnitVector3:
             raise NonFiniteStateError(f"stage arc {arc!r} is not finite")
         raise StepTooLargeError(
             f"stage arc {arc!r} exceeds the interpolation bound {limit!r}"
+        )
+    px, py, pz = p
+    drift = eff_h * (px * vx + py * vy + pz * vz)
+    if not (abs(drift) <= UNIT_NORM_TOL):
+        raise NonTangentVelocityError(
+            f"velocity's normal part moves |p| by {drift!r}, beyond {UNIT_NORM_TOL!r}"
         )
     return exp_raw(p, (vx * eff_h, vy * eff_h, vz * eff_h))
 

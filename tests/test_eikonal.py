@@ -511,9 +511,40 @@ PINNED_RAYS = {
 }
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
-def test_pinned_ray_endpoints(scheme):
-    front = trace_wavefront(y31_model(), XS, 3, math.pi / 50, math.pi / 10, scheme=scheme)[-1]
-    x, k = PINNED_RAYS[scheme]
+# The same run on expz2: the one test that sees the model's gradient factor
+# -2 (scaling it by 1 + 1e-9 moves ray 1 by ~7e-11).
+PINNED_EXPZ2_RAYS = {
+    "sfe": ((0.9535491846751546, -0.14890261748642714, 0.261862488552749),
+            (-0.007021733396329638, -0.5183441190690329, 0.9659685107690059)),
+    "pfe": ((0.9536561347348477, -0.1487371551474756, 0.26156688506236025),
+            (-0.007005460632898852, -0.5183247880760833, 0.9658496142914087)),
+    "stvdrk2": ((0.9535426099793076, -0.1472659100845928, 0.2628102788720543),
+                (-0.01007007399300378, -0.5228142294914425, 0.9913885119897423)),
+    "tvdrk2": ((0.9535359687471527, -0.14720810334957096, 0.2627078571314018),
+               (-0.010070635773141476, -0.5227991917493064, 0.9914118810559334)),
+    "ptvdrk2": ((0.9535768363926304, -0.1472126402838021, 0.2627159219310751),
+                (-0.010070677586837396, -0.5227990211565647, 0.9914125022510998)),
+    "stvdrk3": ((0.9532945794857592, -0.14749606444826252, 0.26357988484583444),
+                (-0.009939563398980672, -0.522939220334243, 0.9917790355779206)),
+    "tvdrk3": ((0.9533252481215675, -0.1474983934181686, 0.26358409642393327),
+               (-0.009938077335216573, -0.5229355797422401, 0.9917672794297128)),
+    "ptvdrk3": ((0.9532947749836536, -0.14749573743247052, 0.26357936077795896),
+                (-0.009938073605177636, -0.5229357968930569, 0.9917668320413753)),
+}
+
+
+def _assert_pinned_ray(model, scheme, pinned):
+    front = trace_wavefront(model, XS, 3, math.pi / 50, math.pi / 10, scheme=scheme)[-1]
+    x, k = pinned[scheme]
     assert np.max(np.abs(front.x[1] - x)) <= 1e-14
     assert np.max(np.abs(front.k[1] - k)) <= 1e-14
+
+
+@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+def test_pinned_ray_endpoints(scheme):
+    _assert_pinned_ray(y31_model(), scheme, PINNED_RAYS)
+
+
+@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+def test_pinned_expz2_ray_endpoints(scheme):
+    _assert_pinned_ray(gaussian_z_model(), scheme, PINNED_EXPZ2_RAYS)

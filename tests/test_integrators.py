@@ -8,7 +8,7 @@ from conftest import last_state, rotate_about
 from sphererk import vec
 from sphererk.baselines import BASELINE_STEPPERS, BaselineId, baseline_stepper
 from sphererk.eikonal import VelocityModel, trace_wavefront
-from sphererk.errors import NonFiniteStateError, SphereRKError, StepTooLargeError
+from sphererk.errors import NonFiniteStateError, NonTangentVelocityError, SphereRKError, StepTooLargeError
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
 from sphererk.geometry import HALF_PI, UnitVector3, exp_raw, geodesic_distance, project, slerp
 from sphererk.integrators import (
@@ -355,6 +355,33 @@ def test_stvdrk_guard_at_half_pi():
     stvdrk2_step(f, P0, 0.0, 0.7)
 
 
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_non_tangent_field_raises_for_every_scheme(scheme):
+    # the normal field (0, 0, 1) at e3 would push |p| to ~1.93 over [0, 1]
+    normal = VelocityField(lambda p, t: (0.0, 0.0, 1.0))
+    with pytest.raises(NonTangentVelocityError, match=r"^step 0 at t=0\.0: "):
+        list(integrate_steps(stepper_for(scheme), normal, UnitVector3(0.0, 0.0, 1.0), 0.0, 1.0, 0.1))
+
+
+def _spin_plus_normal(c):
+    # rotation about e3 plus c p: p . v = c on the sphere, so h |p . v| = c h
+    return VelocityField(lambda p, t: vec.axpy(c, p, (-p[1], p[0], 0.0)))
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_normal_part_within_the_norm_tolerance_passes(scheme):
+    p = project((0.6, 0.0, 0.8))
+    stepper_for(scheme)(_spin_plus_normal(1e-12), p, 0.0, 0.1)  # h |p . v| = 1e-13
+    with pytest.raises(NonTangentVelocityError):
+        # 1e-11 at h, and still over 1e-12 on the h/6 substeps of sssprk104
+        stepper_for(scheme)(_spin_plus_normal(1e-10), p, 0.0, 0.1)
+
+
+def test_tangency_guard_rejects_nan():
+    with pytest.raises(NonTangentVelocityError):
+        _advance((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), 0.1, HALF_PI)
+
+
 def test_integrate_zero_span():
     traj = list(integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 0.0, 0.1))
     assert traj == [(0.0, P0)]
@@ -522,7 +549,9 @@ CANDIDATES = {
 
 @pytest.mark.parametrize(
     "step",
-    [sfe_step, stvdrk2_step, stvdrk3_step] + list(CANDIDATES.values()) + list(BASELINE_STEPPERS.values()),
+    [sfe_step, stvdrk2_step, stvdrk3_step, *CANDIDATES.values()]
+    # baseline ids "_" + name stay the same whatever object builds the stepper
+    + [pytest.param(step, id=f"_{b.value}") for b, step in BASELINE_STEPPERS.items()],
 )
 def test_stage_time_steppers_accept_non_autonomous_fields(step):
     # the exact flow turns P0 about e3 by t + t^2/2
