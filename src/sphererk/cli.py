@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence
 from . import eikonal, harness, pharmonic
 from .baselines import BaselineId
 from .errors import SphereRKError
-from .geometry import UnitVector3
 from .integrators import SchemeId
 
 USAGE_ERROR = 1
@@ -50,13 +49,17 @@ def parse_h_spec(spec: str) -> List[float]:
             raise ValueError("step-size range must be increasing")
         return [base * 2.0**-k for k in range(k0, k1 + 1)]
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        return parse_float_list(spec)
     except ValueError as exc:
         raise ValueError(f"cannot parse step-size spec {spec!r}") from exc
 
 
 def parse_float_list(spec: str) -> List[float]:
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+    """Parse a comma list of floats; ValueError if it holds no value."""
+    values = [float(tok) for tok in spec.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"no value in list {spec!r}")
+    return values
 
 
 def all_scheme_names() -> List[str]:
@@ -97,7 +100,7 @@ def _cmd_stability(args) -> int:
 
 def _cmd_eikonal(args) -> int:
     model = eikonal.MODELS[args.velocity]()
-    xs = UnitVector3(1.0, 0.0, 0.0)
+    xs = (1.0, 0.0, 0.0)
     snapshots = parse_float_list(args.snapshots) if args.snapshots else None
     fronts = eikonal.trace_wavefront(
         model,

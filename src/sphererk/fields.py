@@ -50,7 +50,7 @@ class VortexConfig:
     """Four-vortex benchmark setup: centers and start point."""
 
     centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS
-    p0: UnitVector3 = UnitVector3(1.0, 0.0, 0.0)
+    p0: UnitVector3 = (1.0, 0.0, 0.0)
 
 
 def vortex4_field(centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS) -> VelocityField:

@@ -1,8 +1,8 @@
 """Exact spherical primitives on the unit 2-sphere.
 
-Points live on S^2 as ``UnitVector3`` named tuples, velocities are plain
-tangent 3-vectors.  Everything here is a pure function over immutable values;
-the geodesic building blocks are
+Points live on S^2 as plain unit 3-tuples (``UnitVector3``), velocities as
+plain tangent 3-tuples.  Everything here is a pure function over immutable
+values; the geodesic building blocks are
 
 * ``exp_raw``: exponential map cos(|s|) p + sin(|s|) s/|s|
 * ``slerp``: constant-speed interpolation along the minor great-circle arc
@@ -12,7 +12,6 @@ the geodesic building blocks are
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from . import vec
 from .errors import AntipodalPointsError, NonFiniteStateError, ZeroVectorError
@@ -30,12 +29,8 @@ HALF_PI = 0.5 * math.pi
 UNIT_NORM_TOL = 1e-12
 
 
-class UnitVector3(NamedTuple):
-    """A point on S^2; constructors are expected to deliver unit norm."""
-
-    x: float
-    y: float
-    z: float
+# A point on S^2: a Vec3 of unit norm, which its producers are expected to deliver.
+UnitVector3 = Vec3
 
 
 def project(v: Vec3) -> UnitVector3:
@@ -54,7 +49,7 @@ def project(v: Vec3) -> UnitVector3:
         if n < 1e-300:
             raise ZeroVectorError("cannot project a zero vector onto the sphere")
         raise NonFiniteStateError(f"cannot project a vector of norm {n!r} onto the sphere")
-    return UnitVector3(x / n, y / n, z / n)
+    return (x / n, y / n, z / n)
 
 
 def geodesic_distance(p: Vec3, q: Vec3) -> float:
@@ -81,7 +76,7 @@ def exp_raw(p: Vec3, s: Vec3) -> UnitVector3:
         sinc = math.sin(n) / n
     c = math.cos(n)
     px, py, pz = p
-    return UnitVector3(c * px + sinc * sx, c * py + sinc * sy, c * pz + sinc * sz)
+    return (c * px + sinc * sx, c * py + sinc * sy, c * pz + sinc * sz)
 
 
 def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:
@@ -110,8 +105,4 @@ def slerp(p: Vec3, q: Vec3, t: float) -> UnitVector3:
     s = math.sin(omega)
     a = math.sin((1.0 - t) * omega) / s
     b = math.sin(t * omega) / s
-    return UnitVector3(
-        a * p[0] + b * q[0],
-        a * p[1] + b * q[1],
-        a * p[2] + b * q[2],
-    )
+    return (a * p[0] + b * q[0], a * p[1] + b * q[1], a * p[2] + b * q[2])

@@ -91,7 +91,7 @@ def vortex_problem(config: VortexConfig = VortexConfig()) -> Problem:
 def rotation_problem() -> Problem:
     # Rotation about e1, from a start on the great circle perpendicular to the
     # axis, so the motion is geodesic and the sphere schemes are exact.
-    return Problem(rigid_rotation_field((1.0, 0.0, 0.0)), UnitVector3(0.0, 0.0, 1.0), 2.0)
+    return Problem(rigid_rotation_field((1.0, 0.0, 0.0)), (0.0, 0.0, 1.0), 2.0)
 
 
 def resolve_scheme(name: Union[str, AnyScheme]) -> AnyScheme:
@@ -441,7 +441,7 @@ def random_unit_vector(rng: random.Random) -> UnitVector3:
         v = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         n = vec.norm(v)
         if n > 1e-6:
-            return UnitVector3(v[0] / n, v[1] / n, v[2] / n)
+            return (v[0] / n, v[1] / n, v[2] / n)
 
 
 def verify_slerp_parity() -> SlerpParityReport:

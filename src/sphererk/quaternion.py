@@ -109,4 +109,4 @@ def quat_slerp(pa: UnitVector3, pb: UnitVector3, t: float) -> UnitVector3:
     qb = Quaternion(0.0, (pb[0], pb[1], pb[2]))
     rel = hamilton_product(inverse(qa), qb)
     out = hamilton_product(qa, q_pow(rel, t))
-    return UnitVector3(*out.u)
+    return tuple(out.u)

@@ -1,12 +1,13 @@
 """Plain-tuple 3-vector helpers.
 
-The scalar path runs on ``Vec3 = tuple[float, float, float]``; free functions
-over tuples avoid per-call array overhead for the small fixed-size states this
-package evolves.  The innermost kernels (the field evaluations, the exp-map
-substep, ``geodesic_distance``, ``exp_raw`` and ``project``) unpack their
-tuples into local floats and write these formulas out instead, in the same
-operation order, because at one point per call the cost there is the Python
-calls themselves.  The helpers serve everything else.
+The scalar path runs on ``Vec3 = tuple[float, float, float]``, its one point
+type: ``geometry.UnitVector3`` names the same type for values of unit norm.
+Free functions over tuples avoid per-call array overhead for the small
+fixed-size states this package evolves.  The innermost kernels (the field
+evaluations, the exp-map substep, ``geodesic_distance``, ``exp_raw`` and
+``project``) unpack their tuples into local floats and write these formulas
+out instead, in the same operation order, because at one point per call the
+cost there is the Python calls themselves.  The helpers serve everything else.
 """
 
 from __future__ import annotations

@@ -5,13 +5,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sphererk import vec
-from sphererk.geometry import UnitVector3
 
 
 def _normalize(triple):
     x, y, z = triple
     n = math.sqrt(x * x + y * y + z * z)
-    return UnitVector3(x / n, y / n, z / n)
+    return (x / n, y / n, z / n)
 
 
 def unit_vectors():
@@ -31,7 +30,7 @@ def seeded_unit_vectors(seed, count):
         v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
         n = math.sqrt(sum(c * c for c in v))
         if n > 1e-3:
-            out.append(UnitVector3(v[0] / n, v[1] / n, v[2] / n))
+            out.append((v[0] / n, v[1] / n, v[2] / n))
     return out
 
 
@@ -45,7 +44,7 @@ def rotate_about(omega, p, t):
     """Exact flow of the rigid rotation field omega x p: rotate p by angle |omega| t."""
     w = vec.norm(omega)
     if w == 0.0:
-        return UnitVector3(*p)
+        return tuple(p)
     axis = vec.scale(omega, 1.0 / w)
     angle = w * t
     c, s = math.cos(angle), math.sin(angle)
@@ -53,7 +52,7 @@ def rotate_about(omega, p, t):
     term1 = vec.scale(p, c)
     term2 = vec.scale(vec.cross(axis, p), s)
     term3 = vec.scale(axis, vec.dot(axis, p) * (1.0 - c))
-    return UnitVector3(*vec.add(vec.add(term1, term2), term3))
+    return tuple(vec.add(vec.add(term1, term2), term3))
 
 
 def seam_indices(n_nodes):

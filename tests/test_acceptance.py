@@ -15,11 +15,11 @@ from conftest import last_state, rotate_about, seam_indices, seeded_unit_vectors
 from sphererk import eikonal, harness, pharmonic, vec
 from sphererk.baselines import BaselineId, baseline_stepper
 from sphererk.fields import rigid_rotation_field, stability_interval
-from sphererk.geometry import UnitVector3, geodesic_distance, slerp
+from sphererk.geometry import geodesic_distance, slerp
 from sphererk.integrators import SchemeId, integrate_steps, stepper_for
 from sphererk.quaternion import quat_slerp
 
-XS = UnitVector3(1.0, 0.0, 0.0)
+XS = (1.0, 0.0, 0.0)
 
 
 def announce(cid, ok, detail):
@@ -206,7 +206,7 @@ def test_c07_slerp_parity():
 def test_c08_great_circle_exactness():
     omega = (1.0, 0.0, 0.0)
     f = rigid_rotation_field(omega)
-    p = UnitVector3(0.0, 0.0, 1.0)
+    p = (0.0, 0.0, 1.0)
     hs = [0.1, 0.5, 1.0, 1.3, 0.9 * math.pi / 2]
     per_step_worst = 0.0
     for scheme in (SchemeId.SFE, SchemeId.STVDRK2, SchemeId.STVDRK3):

@@ -21,12 +21,12 @@ from sphererk.baselines import (
     rk6_step,
 )
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
-from sphererk.geometry import UnitVector3, geodesic_distance, project
+from sphererk.geometry import geodesic_distance, project
 from sphererk.harness import tvdrk2_planar_norm
 from sphererk.integrators import integrate_steps
 
 VORTEX = vortex4_field()
-P0 = UnitVector3(1.0, 0.0, 0.0)
+P0 = (1.0, 0.0, 0.0)
 ZERO_FIELD = VelocityField(lambda p, t: (0.0, 0.0, 0.0), name="zero")
 
 

@@ -9,7 +9,6 @@ import pytest
 from conftest import read_csv_floats
 from sphererk import eikonal, pharmonic
 from sphererk.cli import build_parser, main, parse_h_spec
-from sphererk.geometry import UnitVector3
 from sphererk.harness import AppendixBReport
 
 
@@ -29,6 +28,8 @@ def test_parse_h_spec_rejects_garbage():
         parse_h_spec("nope")
     with pytest.raises(ValueError):
         parse_h_spec("0.1/2^5..2")
+    with pytest.raises(ValueError):
+        parse_h_spec(" , ")
 
 
 def test_converge_writes_csv_and_sidecar(tmp_path, capsys):
@@ -151,11 +152,17 @@ def test_pharmonic_writes_snapshots(tmp_path):
     ["stability", "--scheme", "rk4", "--h", "1e300", "--steps", "3"],
     ["converge", "--problem", "rotation", "--scheme", "sfe", "--h", "0.1", "--t-final", "inf"],
     ["converge", "--problem", "rotation", "--scheme", "sfe", "--h", "inf"],
+    ["converge", "--problem", "rotation", "--scheme", "sfe", "--h", ","],
+    ["eikonal", "--velocity", "const", "--rays", "8", "--t-final", "0.5", "--dt", "0.1",
+     "--snapshots", ","],
+    ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "1e-4",
+     "--snapshots", " , "],
 ], ids=["eikonal-dt0", "eikonal-dt-neg", "eikonal-dt-nan", "eikonal-t-neg", "eikonal-snap-late",
         "pharmonic-dt0", "pharmonic-dt-neg", "pharmonic-dt-inf", "pharmonic-snap-late",
         "pharmonic-snap-off-grid", "pharmonic-eps-nan",
         "stability-steps-neg", "stability-h-neg", "stability-h0", "stability-h-nan",
-        "stability-h-inf", "stability-h-huge", "converge-t-inf", "converge-h-inf"])
+        "stability-h-inf", "stability-h-huge", "converge-t-inf", "converge-h-inf",
+        "converge-h-empty", "eikonal-snap-empty", "pharmonic-snap-empty"])
 def test_bad_step_settings_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -233,7 +240,7 @@ def test_eikonal_csv_cells_are_round_trip_floats(tmp_path):
         "eikonal", "--velocity", "y31", "--rays", "16",
         "--dt", "0.1", "--t-final", "0.3", "--snapshots", "0.1,0.3", "--out", str(out),
     ]) == 0
-    fronts = eikonal.trace_wavefront(eikonal.y31_model(), UnitVector3(1.0, 0.0, 0.0), 16, 0.1, 0.3,
+    fronts = eikonal.trace_wavefront(eikonal.y31_model(), (1.0, 0.0, 0.0), 16, 0.1, 0.3,
                                      scheme=eikonal.scheme_for_order(3), snapshot_times=[0.1, 0.3])
     want = np.concatenate(
         [np.column_stack([np.full(16, f.t), np.arange(16), f.x, f.k, np.full(16, f.t)]) for f in fronts]

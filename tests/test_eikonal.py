@@ -30,10 +30,10 @@ from sphererk.eikonal import (
     y31_model,
 )
 from sphererk.errors import DegenerateFrontError, NonFiniteStateError, StepTooLargeError
-from sphererk.geometry import UnitVector3, exp_raw, geodesic_distance, slerp
+from sphererk.geometry import exp_raw, geodesic_distance, slerp
 from sphererk.integrators import integrate_steps
 
-XS = UnitVector3(1.0, 0.0, 0.0)
+XS = (1.0, 0.0, 0.0)
 
 
 def y31(theta, phi):
@@ -548,3 +548,29 @@ def test_pinned_ray_endpoints(scheme):
 @pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
 def test_pinned_expz2_ray_endpoints(scheme):
     _assert_pinned_ray(gaussian_z_model(), scheme, PINNED_EXPZ2_RAYS)
+
+
+# Self-convergence at T = 1: max over rays of |x_h - x_{h/2}| for h = 2^-4..2^-8.
+# The finest local slopes measure sfe 0.99, stvdrk2 2.00-2.02 and stvdrk3 3.00
+# on both models; +-0.25 catches an order lost on an inhomogeneous field.
+SELF_CONVERGENCE_LEVELS = range(4, 9)
+
+
+def self_convergence_differences(velocity, scheme, n_rays=16):
+    model = MODELS[velocity]()
+    fronts = [trace_wavefront(model, XS, n_rays, 2.0**-k, 1.0, scheme=scheme)[-1].x
+              for k in SELF_CONVERGENCE_LEVELS]
+    return [float(np.max(np.linalg.norm(a - b, axis=1))) for a, b in zip(fronts, fronts[1:])]
+
+
+@pytest.mark.parametrize("velocity", ["y31", "expz2"])
+@pytest.mark.parametrize("scheme,order", [("sfe", 1), ("stvdrk2", 2), ("stvdrk3", 3)])
+def test_self_convergence_slope_on_the_finest_pair(velocity, scheme, order):
+    d = self_convergence_differences(velocity, scheme)
+    assert math.log2(d[-2] / d[-1]) == pytest.approx(order, abs=0.25)
+
+
+def test_stvdrk3_beats_tvdrk3_on_y31_at_every_h():
+    intrinsic = self_convergence_differences("y31", "stvdrk3")
+    cartesian = self_convergence_differences("y31", "tvdrk3")
+    assert all(s < c for s, c in zip(intrinsic, cartesian))

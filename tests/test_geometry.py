@@ -6,18 +6,18 @@ from hypothesis import given, strategies as st
 from conftest import seeded_unit_vectors, unit_vectors
 from sphererk import vec
 from sphererk.errors import AntipodalPointsError, ZeroVectorError
-from sphererk.geometry import ANTIPODAL_LIMIT, UnitVector3, exp_raw, geodesic_distance, project, slerp
+from sphererk.geometry import ANTIPODAL_LIMIT, exp_raw, geodesic_distance, project, slerp
 
 SQ2 = math.sqrt(0.5)
 
 
 def test_project_scales_axis_vector():
-    assert project((2.0, 0.0, 0.0)) == UnitVector3(1.0, 0.0, 0.0)
+    assert project((2.0, 0.0, 0.0)) == (1.0, 0.0, 0.0)
 
 
 def test_project_diagonal():
     p = project((1.0, 1.0, 0.0))
-    assert abs(p.x - SQ2) < 1e-15 and abs(p.y - SQ2) < 1e-15 and p.z == 0.0
+    assert abs(p[0] - SQ2) < 1e-15 and abs(p[1] - SQ2) < 1e-15 and p[2] == 0.0
 
 
 def test_project_zero_vector_rejected():
@@ -38,34 +38,34 @@ def test_geodesic_distance_examples(p, q, expected):
 
 
 def test_exp_map_zero_velocity():
-    p = UnitVector3(1.0, 0.0, 0.0)
+    p = (1.0, 0.0, 0.0)
     assert exp_raw(p, (0.0, 0.0, 0.0)) == p
 
 
 def test_exp_map_quarter_circle():
-    p = UnitVector3(1.0, 0.0, 0.0)
+    p = (1.0, 0.0, 0.0)
     q = exp_raw(p, (0.0, math.pi / 2, 0.0))
-    assert abs(q.x) < 1e-15 and q.y == pytest.approx(1.0, abs=1e-15)
+    assert abs(q[0]) < 1e-15 and q[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_exp_map_closed_form_geodesic():
     h = 0.1
-    p = UnitVector3(0.0, 0.0, 1.0)
+    p = (0.0, 0.0, 1.0)
     q = exp_raw(p, (0.0, h, 0.0))
-    assert q.y == pytest.approx(math.sin(h), abs=1e-15)
-    assert q.z == pytest.approx(math.cos(h), abs=1e-15)
+    assert q[1] == pytest.approx(math.sin(h), abs=1e-15)
+    assert q[2] == pytest.approx(math.cos(h), abs=1e-15)
 
 
 def test_slerp_endpoints_are_exact():
-    p, q = UnitVector3(1.0, 0.0, 0.0), project((0.3, -0.5, 0.81))
+    p, q = (1.0, 0.0, 0.0), project((0.3, -0.5, 0.81))
     assert slerp(p, q, 0.0) == p
     assert slerp(p, q, 1.0) == q
 
 
 def test_slerp_symmetry_midpoint():
     mid = slerp((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.5)
-    assert mid.x == pytest.approx(SQ2, abs=1e-15)
-    assert mid.y == pytest.approx(SQ2, abs=1e-15)
+    assert mid[0] == pytest.approx(SQ2, abs=1e-15)
+    assert mid[1] == pytest.approx(SQ2, abs=1e-15)
 
 
 def test_slerp_antipodal_rejected():
@@ -74,11 +74,11 @@ def test_slerp_antipodal_rejected():
 
 
 def test_slerp_small_angle_branch_matches_nlerp():
-    p = UnitVector3(1.0, 0.0, 0.0)
+    p = (1.0, 0.0, 0.0)
     q = project((1.0, 1e-10, 0.0))
     r = slerp(p, q, 0.3)
     assert abs(vec.norm(r) - 1.0) < 1e-15
-    assert r.y == pytest.approx(0.3e-10, rel=1e-6)
+    assert r[1] == pytest.approx(0.3e-10, rel=1e-6)
 
 
 def same_hemisphere(a, b, c, tol=1e-12):

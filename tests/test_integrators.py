@@ -10,7 +10,7 @@ from sphererk.baselines import BASELINE_STEPPERS, BaselineId, baseline_stepper
 from sphererk.eikonal import VelocityModel, trace_wavefront
 from sphererk.errors import NonFiniteStateError, NonTangentVelocityError, SphereRKError, StepTooLargeError
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
-from sphererk.geometry import HALF_PI, UnitVector3, exp_raw, geodesic_distance, project, slerp
+from sphererk.geometry import HALF_PI, exp_raw, geodesic_distance, project, slerp
 from sphererk.integrators import (
     STEPPERS,
     SchemeId,
@@ -32,9 +32,9 @@ from sphererk.pharmonic import PFlowParams, default_dt, initial_discontinuous_cu
 
 ZERO_FIELD = VelocityField(lambda p, t: (0.0, 0.0, 0.0), name="zero")
 VORTEX = vortex4_field()
-P0 = UnitVector3(1.0, 0.0, 0.0)
+P0 = (1.0, 0.0, 0.0)
 OMEGA = (1.0, 0.0, 0.0)
-EQUATOR_P = UnitVector3(0.0, 0.0, 1.0)  # perpendicular to OMEGA: great-circle motion
+EQUATOR_P = (0.0, 0.0, 1.0)  # perpendicular to OMEGA: great-circle motion
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -130,7 +130,7 @@ def progressive_slerp_combine(points, alphas):
     skipping zero weights; the ordering of ``points`` is part of the definition."""
     live = [(a, pt) for a, pt in zip(alphas, points) if a > 0.0]
     acc_w, acc = live[0]
-    acc = UnitVector3(*acc)
+    acc = tuple(acc)
     for a, pt in live[1:]:
         acc_w += a
         acc = slerp(acc, pt, a / acc_w)
@@ -167,14 +167,14 @@ def test_progressive_combine_single_point():
 
 
 def test_progressive_combine_pair_is_midpoint():
-    p, q = UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0)
+    p, q = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     got = progressive_slerp_combine([p, q], [0.5, 0.5])
     want = slerp(p, q, 0.5)
     assert vec.norm(vec.sub(got, want)) <= 1e-15
 
 
 def test_progressive_combine_skips_zero_weights():
-    p, q = UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0)
+    p, q = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     got = progressive_slerp_combine([p, (0.0, 0.0, 1.0), q], [0.5, 0.0, 0.5])
     want = slerp(p, q, 0.5)
     assert vec.norm(vec.sub(got, want)) <= 1e-15
@@ -182,9 +182,9 @@ def test_progressive_combine_skips_zero_weights():
 
 def test_progressive_combine_is_not_associative():
     pts = [
-        UnitVector3(1.0, 0.0, 0.0),
-        UnitVector3(0.0, 1.0, 0.0),
-        UnitVector3(0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0),
     ]
     ws = [0.25, 0.25, 0.5]
     left = progressive_slerp_combine(pts, ws)
@@ -207,9 +207,9 @@ def test_frechet_mean_two_points_is_slerp():
 
 def test_frechet_mean_octant_symmetry():
     pts = [
-        UnitVector3(1.0, 0.0, 0.0),
-        UnitVector3(0.0, 1.0, 0.0),
-        UnitVector3(0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0),
     ]
     third = 1.0 / 3.0
     got = frechet_mean([(third, p) for p in pts], tol=1e-13)
@@ -242,7 +242,7 @@ def test_frechet_mean_objective_beats_projected_average():
 
 
 def test_projected_mean_differs_from_slerp_off_midpoint():
-    p, q = UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0)
+    p, q = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     fast = projected_mean([(0.7, p), (0.3, q)])
     true = slerp(p, q, 0.3)
     assert vec.norm(vec.sub(fast, true)) > 1e-3
@@ -360,7 +360,7 @@ def test_non_tangent_field_raises_for_every_scheme(scheme):
     # the normal field (0, 0, 1) at e3 would push |p| to ~1.93 over [0, 1]
     normal = VelocityField(lambda p, t: (0.0, 0.0, 1.0))
     with pytest.raises(NonTangentVelocityError, match=r"^step 0 at t=0\.0: "):
-        list(integrate_steps(stepper_for(scheme), normal, UnitVector3(0.0, 0.0, 1.0), 0.0, 1.0, 0.1))
+        list(integrate_steps(stepper_for(scheme), normal, (0.0, 0.0, 1.0), 0.0, 1.0, 0.1))
 
 
 def _spin_plus_normal(c):
@@ -462,7 +462,7 @@ def test_row_flows_report_the_failing_step():
 
     model = VelocityModel("nan-cap", v=v, grad_v=lambda x: np.zeros_like(x))
     with pytest.raises(NonFiniteStateError, match=r"^step 2 at t=0\.2: ray stage velocity"):
-        trace_wavefront(model, UnitVector3(1.0, 0.0, 0.0), 8, 0.1, 0.5)
+        trace_wavefront(model, (1.0, 0.0, 0.0), 8, 0.1, 0.5)
     # ten times the default step: the seams' arcs pass pi/2 in step 1
     curve = initial_discontinuous_curve(16)
     dt = 10.0 * default_dt(curve, 2.0)

@@ -64,7 +64,7 @@ def test_tracer_sees_every_step_through_the_tables():
         return vortex.raw(p, t)
 
     f = fields.VelocityField(raw)
-    p = geometry.UnitVector3(0.6, 0.0, 0.8)
+    p = (0.6, 0.0, 0.8)
     tracer = _load("tracer").Tracer().install()
     tracer.active = True
     try:

@@ -11,7 +11,7 @@ from sphererk.errors import (
     NonFiniteStateError,
     ZeroQuaternionError,
 )
-from sphererk.geometry import UnitVector3, geodesic_distance, slerp
+from sphererk.geometry import geodesic_distance, slerp
 from sphererk.quaternion import (
     ONE,
     Quaternion,
@@ -127,32 +127,32 @@ def test_pow_additivity_positive_scalar(s, t):
 
 
 def test_quat_slerp_endpoints():
-    pa = UnitVector3(1.0, 0.0, 0.0)
-    pb = UnitVector3(0.0, 1.0, 0.0)
+    pa = (1.0, 0.0, 0.0)
+    pb = (0.0, 1.0, 0.0)
     assert quat_slerp(pa, pb, 0.0) == pa
     end = quat_slerp(pa, pb, 1.0)
     assert vec.norm(vec.sub(end, pb)) <= 1e-13
 
 
 def test_quat_slerp_midpoint():
-    mid = quat_slerp(UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), 0.5)
+    mid = quat_slerp((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 0.5)
     s = math.sqrt(0.5)
-    assert mid.x == pytest.approx(s, abs=1e-13)
-    assert mid.y == pytest.approx(s, abs=1e-13)
-    assert abs(mid.z) < 1e-13
+    assert mid[0] == pytest.approx(s, abs=1e-13)
+    assert mid[1] == pytest.approx(s, abs=1e-13)
+    assert abs(mid[2]) < 1e-13
 
 
 def test_quat_slerp_antipodal_rejected():
     with pytest.raises(AntipodalPointsError):
-        quat_slerp(UnitVector3(0.0, 0.0, 1.0), UnitVector3(0.0, 0.0, -1.0), 0.5)
+        quat_slerp((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_quat_slerp_non_finite_endpoint_rejected(bad):
     with pytest.raises(NonFiniteStateError):
-        quat_slerp((bad, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), 0.5)
+        quat_slerp((bad, 0.0, 0.0), (0.0, 1.0, 0.0), 0.5)
     with pytest.raises(NonFiniteStateError):
-        quat_slerp(UnitVector3(0.0, 1.0, 0.0), (0.0, 0.0, bad), 0.5)
+        quat_slerp((0.0, 1.0, 0.0), (0.0, 0.0, bad), 0.5)
 
 
 def test_quat_slerp_scalar_part_vanishes():

@@ -1,10 +1,11 @@
 """Bit-identity pins for the scalar kernels that work on local floats.
 
-The field evaluations, ``geodesic_distance``, ``exp_raw``, ``project``, the
-exp-map substep and the stability attractor distance unpack their tuples and
-do the arithmetic inline.  Each oracle here is the same formula written with
-the ``vec`` helpers; the kernels must match it with ``==``, because they do
-the same IEEE operations in the same order.
+The field evaluations, ``geodesic_distance``, ``exp_raw``, ``project``,
+``slerp``, the exp-map substep and the stability attractor distance unpack
+their tuples and do the arithmetic inline.  Each oracle here is the same
+formula written with the ``vec`` helpers; the kernels must match it with
+``==``, because they do the same IEEE operations in the same order.  Every
+point they return is a plain tuple, the scalar path's one point type.
 """
 
 import math
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import seeded_unit_vectors
 from sphererk import vec
+from sphererk.quaternion import quat_slerp
 from sphererk.errors import NearPoleError, NonFiniteStateError
 from sphererk.fields import (
     POLE_GUARD,
@@ -22,9 +24,9 @@ from sphererk.fields import (
     projected_linear_field,
     vortex4_field,
 )
-from sphererk.geometry import SMALL_ANGLE, UnitVector3, exp_raw, geodesic_distance, project
-from sphererk.harness import _attractor_distance, run_stability
-from sphererk.integrators import _advance, stvdrk3_step
+from sphererk.geometry import SMALL_ANGLE, exp_raw, geodesic_distance, project, slerp
+from sphererk.harness import _attractor_distance, random_unit_vector, run_stability
+from sphererk.integrators import SchemeId, _advance, stepper_for, stvdrk3_step
 
 N = 1000
 
@@ -58,12 +60,20 @@ def oracle_exp_raw(p, s):
     n = vec.norm(s)
     sinc = 1.0 - n * n / 6.0 if n < SMALL_ANGLE else math.sin(n) / n
     c = math.cos(n)
-    return UnitVector3(*vec.add(vec.scale(p, c), vec.scale(s, sinc)))
+    return tuple(vec.add(vec.scale(p, c), vec.scale(s, sinc)))
 
 
 def oracle_project(v):
     n = vec.norm(v)
-    return UnitVector3(v[0] / n, v[1] / n, v[2] / n)
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def oracle_slerp(p, q, t):
+    omega = oracle_geodesic_distance(p, q)
+    if omega < SMALL_ANGLE:
+        return oracle_project(vec.add(vec.scale(p, 1.0 - t), vec.scale(q, t)))
+    s = math.sin(omega)
+    return vec.add(vec.scale(p, math.sin((1.0 - t) * omega) / s), vec.scale(q, math.sin(t * omega) / s))
 
 
 def random_vectors(seed, count):
@@ -138,6 +148,31 @@ def test_project_matches_vec_oracle():
         assert project(scaled) == oracle_project(scaled)
 
 
+def test_slerp_matches_vec_oracle():
+    for p, q in zip(seeded_unit_vectors(83, N), seeded_unit_vectors(89, N)):
+        near = project(vec.axpy(1e-9, q, p))
+        assert geodesic_distance(p, near) < SMALL_ANGLE
+        for other in (q, near):
+            for t in (0.25, 0.5, 2.0 / 3.0, 0.9):
+                assert slerp(p, other, t) == oracle_slerp(p, other, t)
+
+
+def test_scalar_points_are_plain_tuples():
+    p, q = seeded_unit_vectors(97, 2)
+    near = project(vec.axpy(1e-9, q, p))
+    points = [
+        exp_raw(p, (0.0, 0.1, 0.0)),
+        slerp(p, q, 0.3),
+        slerp(p, near, 0.3),
+        project((2.0, 0.0, 0.0)),
+        quat_slerp(p, q, 0.3),
+        random_unit_vector(random.Random(101)),
+    ]
+    points += [stepper_for(s)(vortex4_field(), (1.0, 0.0, 0.0), 0.0, 0.1) for s in SchemeId]
+    for point in points:
+        assert type(point) is tuple and len(point) == 3
+
+
 def test_advance_matches_vec_oracle():
     f = vortex4_field()
     rng = random.Random(71)
@@ -178,5 +213,5 @@ def test_run_stability_golden(h, final, verdict):
 
 def test_nan_point_raises_non_finite_through_stvdrk3_on_vortex4():
     with pytest.raises(NonFiniteStateError):
-        stvdrk3_step(vortex4_field(), UnitVector3(math.nan, 0.0, 0.0), 0.0, 0.1)
+        stvdrk3_step(vortex4_field(), (math.nan, 0.0, 0.0), 0.0, 0.1)
 
