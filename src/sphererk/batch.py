@@ -52,9 +52,8 @@ def check_arc(h: float, v: np.ndarray, limit: float, what: str) -> None:
 def exp_rows(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rowwise exponential map cos(|s|) p + sin(|s|) s/|s|."""
     n = row_norm(s)[..., None]
-    small = n < SMALL_ANGLE
-    safe = np.where(small, 1.0, n)
-    sinc = np.where(small, 1.0 - n * n / 6.0, np.sin(safe) / safe)
+    # sin(n)/n as in geometry.exp_raw, with 1.0 where n = 0 (0/0 would warn)
+    sinc = np.divide(np.sin(n), n, out=np.ones_like(n), where=n != 0.0)
     return np.cos(n) * p + sinc * s
 
 

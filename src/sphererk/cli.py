@@ -62,6 +62,10 @@ def parse_float_list(spec: str) -> List[float]:
     return values
 
 
+def _snapshot_times(args) -> Optional[List[float]]:
+    return None if args.snapshots is None else parse_float_list(args.snapshots)
+
+
 def all_scheme_names() -> List[str]:
     return [s.value for s in SchemeId] + [b.value for b in BaselineId]
 
@@ -100,16 +104,14 @@ def _cmd_stability(args) -> int:
 
 def _cmd_eikonal(args) -> int:
     model = eikonal.MODELS[args.velocity]()
-    xs = (1.0, 0.0, 0.0)
-    snapshots = parse_float_list(args.snapshots) if args.snapshots else None
     fronts = eikonal.trace_wavefront(
         model,
-        xs,
+        (1.0, 0.0, 0.0),
         n_rays=args.rays,
         h=args.dt,
         t_final=args.t_final,
         scheme=args.scheme,
-        snapshot_times=snapshots,
+        snapshot_times=_snapshot_times(args),
     )
     eikonal.write_wavefronts_csv(args.out, fronts)
     print(f"wrote {len(fronts)} wavefront snapshot(s) of {args.rays} rays to {args.out}")
@@ -120,8 +122,8 @@ def _cmd_pharmonic(args) -> int:
     curve = pharmonic.initial_discontinuous_curve(args.nodes)
     dt = args.dt if args.dt is not None else pharmonic.default_dt(curve, args.p, args.eps_reg)
     params = pharmonic.PFlowParams(p=args.p, dt=dt, t_final=args.t_final, eps_reg=args.eps_reg)
-    snapshots = parse_float_list(args.snapshots) if args.snapshots else None
-    snaps = pharmonic.pflow_evolve(curve, params, order=args.order, snapshot_times=snapshots)
+    snaps = pharmonic.pflow_evolve(curve, params, order=args.order,
+                                   snapshot_times=_snapshot_times(args))
     pharmonic.write_snapshots_csv(args.out, snaps)
     print(f"wrote {len(snaps)} curve snapshot(s) of {args.nodes} nodes to {args.out}")
     return 0
@@ -151,10 +153,9 @@ def _cmd_verify(args) -> int:
     else:  # table2
         rep = harness.verify_table2()
         for name, r in sorted(rep.reports.items()):
-            print(
-                f"{name}: order_e2={r.order_e2:.3f} "
-                f"order_enorm={'exact' if r.order_enorm is None else f'{r.order_enorm:.3f}'}"
-            )
+            e2 = "none" if r.order_e2 is None else f"{r.order_e2:.3f}"
+            enorm = "exact" if r.order_enorm is None else f"{r.order_enorm:.3f}"
+            print(f"{name}: order_e2={e2} order_enorm={enorm}")
         if rep.order_failures:
             print(f"order failures: {', '.join(rep.order_failures)}")
         if rep.enorm_failures:

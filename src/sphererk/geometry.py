@@ -17,7 +17,7 @@ from . import vec
 from .errors import AntipodalPointsError, NonFiniteStateError, ZeroVectorError
 from .vec import Vec3
 
-# Below this angle sin(x)/x and the slerp denominator switch to series forms.
+# Below this separation SLERP takes the normalized linear interpolation.
 SMALL_ANGLE = 1e-8
 # SLERP endpoints farther apart than this count as antipodal.  Near pi the
 # geodesic is ill-defined and the sine weights round the result's norm by
@@ -70,10 +70,8 @@ def exp_raw(p: Vec3, s: Vec3) -> UnitVector3:
     """Exponential map at ``p`` applied to a tangent 3-vector, no tangency check."""
     sx, sy, sz = s
     n = math.sqrt(sx * sx + sy * sy + sz * sz)
-    if n < SMALL_ANGLE:
-        sinc = 1.0 - n * n / 6.0
-    else:
-        sinc = math.sin(n) / n
+    # below 2**-26 sin(n) rounds to n, so sin(n)/n is the exact 1.0 of its series
+    sinc = math.sin(n) / n if n else 1.0
     c = math.cos(n)
     px, py, pz = p
     return (c * px + sinc * sx, c * py + sinc * sy, c * pz + sinc * sz)

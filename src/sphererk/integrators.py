@@ -136,7 +136,7 @@ def stvdrk3_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
 
 
 def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """Ten-exp-map, six-SLERP fourth-order candidate (observed order ~3).
+    """Eight-exp-map, six-SLERP fourth-order candidate (observed order ~3).
 
     Its four field evaluations sit at t, t + h/2, t + h/2 and t + h.
     """
@@ -151,10 +151,9 @@ def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
     q32 = _advance(q2, f.raw(q2, t + 0.5 * h), 1.066666666666667 * h, HALF_PI)
     r31 = slerp(q30, q31, 0.917544541224197)
     q3 = slerp(r31, q32, 0.738093750000000)
-    q40 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
     q41 = _advance(q1, fq1, 0.816060062020566 * h, HALF_PI)
     q43 = _advance(q3, f.raw(q3, t + h), 0.500000000000000 * h, HALF_PI)
-    r41 = slerp(q40, q41, 0.505236249690773)
+    r41 = slerp(q1, q41, 0.505236249690773)
     r42 = slerp(r41, q2, 0.393650000000000)
     return slerp(r42, q43, 0.333333333333333)
 

@@ -60,10 +60,7 @@ def inverse(q: Quaternion) -> Quaternion:
 def q_exp(q: Quaternion) -> Quaternion:
     """exp(a) (cos|u|, sin(|u|)/|u| u)."""
     n = vec.norm(q.u)
-    if n < NEAR_REAL:
-        sinc = 1.0 - n * n / 6.0
-    else:
-        sinc = math.sin(n) / n
+    sinc = math.sin(n) / n if n else 1.0  # exact below 2**-26, as in geometry.exp_raw
     ea = math.exp(q.a)
     return Quaternion(ea * math.cos(n), vec.scale(q.u, ea * sinc))
 

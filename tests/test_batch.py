@@ -111,6 +111,18 @@ def test_exp_rows_mixed_small_and_large_steps():
     assert np.array_equal(out[0], p[0])
 
 
+def test_exp_maps_are_exact_below_the_series_range():
+    # exp_raw and exp_rows take sin(n)/n down to n = 0; below 2**-26 sin(n)
+    # rounds to n, so the quotient is the 1.0 that the series 1 - n^2/6 gave
+    n = 10.0 ** np.random.default_rng(71).uniform(-320.0, -8.0, 2048)
+    assert np.array_equal(np.sin(n), n)
+    assert all(math.sin(x) == x for x in n.tolist())
+    p, d = frame(n.size)
+    s = n[:, None] * d
+    assert np.array_equal(exp_rows(p, s), p + s)
+    assert all(exp_raw(tuple(pi), tuple(si)) == tuple(pi + si) for pi, si in zip(p, s))
+
+
 @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, -math.inf])
 def test_snapshot_steps_rejects_bad_step(h):
     with pytest.raises(ValueError, match="step"):

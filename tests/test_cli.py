@@ -9,7 +9,7 @@ import pytest
 from conftest import read_csv_floats
 from sphererk import eikonal, pharmonic
 from sphererk.cli import build_parser, main, parse_h_spec
-from sphererk.harness import AppendixBReport
+from sphererk.harness import AppendixBReport, ConvergenceReport, ConvergenceRow, Table2Report
 
 
 def test_parse_h_spec_geometric():
@@ -157,12 +157,17 @@ def test_pharmonic_writes_snapshots(tmp_path):
      "--snapshots", ","],
     ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "1e-4",
      "--snapshots", " , "],
+    ["eikonal", "--velocity", "const", "--rays", "8", "--t-final", "0.5", "--dt", "0.1",
+     "--snapshots", ""],
+    ["pharmonic", "--p", "2", "--nodes", "16", "--t-final", "1e-3", "--dt", "1e-4",
+     "--snapshots", ""],
 ], ids=["eikonal-dt0", "eikonal-dt-neg", "eikonal-dt-nan", "eikonal-t-neg", "eikonal-snap-late",
         "pharmonic-dt0", "pharmonic-dt-neg", "pharmonic-dt-inf", "pharmonic-snap-late",
         "pharmonic-snap-off-grid", "pharmonic-eps-nan",
         "stability-steps-neg", "stability-h-neg", "stability-h0", "stability-h-nan",
         "stability-h-inf", "stability-h-huge", "converge-t-inf", "converge-h-inf",
-        "converge-h-empty", "eikonal-snap-empty", "pharmonic-snap-empty"])
+        "converge-h-empty", "eikonal-snap-empty", "pharmonic-snap-empty",
+        "eikonal-snap-blank", "pharmonic-snap-blank"])
 def test_bad_step_settings_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -232,6 +237,26 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli.harness, "verify_appendix_b", lambda: failed)
     assert main(["verify", "--target", "appendix-b"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_table2_prints_a_missing_order_as_a_failure(monkeypatch, capsys):
+    import sphererk.cli as cli
+
+    rows = (ConvergenceRow(0.1, 1e-3, 1e-16),)
+    reports = {
+        "sfe": ConvergenceReport("sfe", rows, None, None, 1e-12),
+        "stvdrk2": ConvergenceReport("stvdrk2", rows, 2.01, None, 1e-12),
+    }
+    failed = Table2Report(reports, ("sfe",), (), passed=False)
+    monkeypatch.setattr(cli.harness, "verify_table2", lambda: failed)
+    assert main(["verify", "--target", "table2"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "sfe: order_e2=none order_enorm=exact",
+        "stvdrk2: order_e2=2.010 order_enorm=exact",
+        "order failures: sfe",
+        "FAIL",
+    ]
 
 
 def test_eikonal_csv_cells_are_round_trip_floats(tmp_path):

@@ -142,6 +142,12 @@ def test_hamiltonian_preserved_along_rays():
     assert float(np.max(np.abs(hT))) < 1e-5
 
 
+def test_hamiltonian_value_off_the_level_set():
+    # 0.5 (v^2 |k_tan|^2 - 1) with v = 1 and |k_tan| = 2
+    h = hamiltonian(constant_model(), np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 2.0, 0.0]]))
+    assert h.tolist() == [1.5]
+
+
 def test_phase_is_exactly_step_count_times_h():
     model = constant_model()
     h = 0.1
@@ -213,7 +219,7 @@ def test_wavefront_E2_uniform_offset():
     )
     front = Wavefront(t=math.pi / 2, x=x, k=x.copy())
     seg = math.acos(math.cos(r) ** 2 + math.sin(r) ** 2 * math.cos(2 * math.pi / n))
-    assert wavefront_E2(front, XS) == pytest.approx(eps * math.sqrt(n * seg), rel=1e-9)
+    assert wavefront_E2(front, XS) == pytest.approx(eps * math.sqrt(n * seg), rel=1e-12)
 
 
 def test_wavefront_E2_degenerate_front():

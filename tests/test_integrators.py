@@ -269,6 +269,24 @@ def _stvdrk4_q3_points(f, p, t, h):
     return q30, q31, q32
 
 
+def test_stvdrk4_step_makes_eight_exp_maps_and_four_field_evaluations(monkeypatch):
+    import sphererk.integrators as integrators
+
+    calls = {"exp_raw": 0, "field": 0}
+
+    def counted_exp_raw(p, s):
+        calls["exp_raw"] += 1
+        return exp_raw(p, s)
+
+    def counted_field(p, t):
+        calls["field"] += 1
+        return VORTEX.raw(p, t)
+
+    monkeypatch.setattr(integrators, "exp_raw", counted_exp_raw)
+    stvdrk4_step(VelocityField(counted_field, name="counted"), P0, 0.0, 0.1)
+    assert calls == {"exp_raw": 8, "field": 4}
+
+
 def test_stvdrk4_fold_orders_disagree():
     # progressive SLERP is not associative: folding the same three points in
     # the other order moves the third stage

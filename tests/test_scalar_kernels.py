@@ -57,6 +57,8 @@ def oracle_geodesic_distance(p, q):
 
 
 def oracle_exp_raw(p, s):
+    # the oracle keeps the series form below SMALL_ANGLE: there it rounds to
+    # the same 1.0 as the kernel's sin(n)/n, so the two must match with ==
     n = vec.norm(s)
     sinc = 1.0 - n * n / 6.0 if n < SMALL_ANGLE else math.sin(n) / n
     c = math.cos(n)
