@@ -3,10 +3,14 @@
 Rays and director-curve nodes evolve independently, so the wavefront and
 p-harmonic solvers step whole (n, 3) arrays at once.  These kernels apply the
 same formulas as :mod:`sphererk.geometry` rowwise; the test suite checks
-parity against the scalar versions.  Row code reduces with the einsum
-helpers below: at a few hundred rows numpy's cost is per call, not per row.
-Besides the kernels there is only ``check_arc``, the stage-arc guard of both
-row flows; their step grid comes from :mod:`sphererk.integrators`.
+parity against the scalar versions.  Every kernel is a few whole-array
+ufuncs, and the result keeps the input's memory layout.  Both flows march
+column-major (Fortran-ordered) (n, 3) state, so each ufunc streams three
+contiguous columns of n; on row-major rows numpy's inner loop would run over
+the 3-wide axis instead.  ``row_dot`` sums its three products in a fixed
+order, so every row's result is the same bits in either layout.  Besides the
+kernels there is only ``check_arc``, the stage-arc guard of both row flows;
+their step grid comes from :mod:`sphererk.integrators`.
 """
 
 from __future__ import annotations
@@ -20,8 +24,16 @@ from .geometry import ANTIPODAL_LIMIT, SMALL_ANGLE
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise dot product over the last axis."""
-    return np.einsum("...i,...i->...", a, b)
+    """Rowwise dot product over the last axis, (a0 b0 + a2 b2) + a1 b1.
+
+    This is the order ``np.einsum`` sums rows of a row-major array in, bit
+    for bit; on column-major input einsum sums in another order.  The sums
+    run in place, so at most two (n,) arrays are live at once.
+    """
+    d = a[..., 0] * b[..., 0]
+    d += a[..., 2] * b[..., 2]
+    d += a[..., 1] * b[..., 1]
+    return d
 
 
 def row_norm(a: np.ndarray) -> np.ndarray:
@@ -42,7 +54,9 @@ def check_arc(h: float, v: np.ndarray, limit: float, what: str) -> None:
 
     A non-finite velocity raises NonFiniteStateError, a finite one StepTooLargeError.
     """
-    arc = abs(h) * math.sqrt(float(np.max(row_dot(v, v))))
+    # einsum, unlike the products of row_dot, raises no overflow warning at
+    # |v| ~ 1e200, which must reach the StepTooLargeError below
+    arc = abs(h) * math.sqrt(float(np.max(np.einsum("...i,...i->...", v, v))))
     if not arc < limit:
         if not (math.isfinite(h) and np.isfinite(v).all()):
             raise NonFiniteStateError(f"{what} stage velocity is not finite (arc {arc!r})")

@@ -23,7 +23,10 @@ the blocks on a thread pool sized by the usable CPUs (numpy releases the
 interpreter lock inside its loops).  Each row's arithmetic is that of a
 one-block march, so the fronts are bit-identical whatever the block count and
 worker count; an error in any block is reported as the one-block march
-reports it.
+reports it.  The march state is column-major (``initial_rays`` builds it so
+and every row kernel keeps the layout), so each ufunc streams whole columns
+of a block instead of looping over the 3-wide axis of row-major rows; the
+bits are the same in either layout.  The fronts are copied out row-major.
 
 The CSV writer is bound by float ``repr``, which holds the interpreter lock,
 so it formats on up to one process per usable CPU: this one and bare child
@@ -227,7 +230,9 @@ def scheme_for_order(order: int) -> str:
 def initial_rays(model: VelocityModel, xs: UnitVector3, n_rays: int):
     """Launch directions fanned uniformly in the tangent frame (e2, e3) at xs.
 
-    |k| = 1/v(xs) makes the initial data satisfy H = 0 exactly.
+    |k| = 1/v(xs) makes the initial data satisfy H = 0 exactly.  Returns the
+    (n_rays, 3) arrays (x0, k0) in column-major (Fortran) order, the layout
+    the march steps in.
     """
     if n_rays < 3:
         raise ValueError("need at least 3 rays to form a wavefront")
@@ -240,9 +245,10 @@ def initial_rays(model: VelocityModel, xs: UnitVector3, n_rays: int):
     t1 /= np.linalg.norm(t1)
     t2 = np.cross(xs_arr, t1)
     ang = 2.0 * math.pi * np.arange(n_rays) / n_rays
-    dirs = np.cos(ang)[:, None] * t1 + np.sin(ang)[:, None] * t2
+    # built as (3, n) rows and transposed, so no column-major copy is made
+    dirs = (t1[:, None] * np.cos(ang) + t2[:, None] * np.sin(ang)).T
     v0 = float(model.v(xs_arr[None, :])[0])
-    x0 = np.tile(xs_arr, (n_rays, 1))
+    x0 = np.repeat(xs_arr[:, None], n_rays, axis=1).T
     return x0, dirs / v0
 
 
@@ -279,8 +285,9 @@ def trace_wavefront(
         raise ValueError(f"unknown coupled scheme {scheme!r}")
     snaps = sorted(snapshot_steps(h, t_final, snapshot_times))
     x0, k0 = initial_rays(model, xs, n_rays)
-    front_x = {i: np.empty_like(x0) for i in snaps}
-    front_k = {i: np.empty_like(k0) for i in snaps}
+    # row-major fronts: the march's column-major layout stays inside it
+    front_x = {i: np.empty(x0.shape) for i in snaps}
+    front_k = {i: np.empty(k0.shape) for i in snaps}
     step = partial(_step_rows, scheme)
 
     def march(rows: slice) -> None:

@@ -18,7 +18,10 @@ immediately.
 
 ``pflow_evolve`` steps the whole curve with ``tvdrk_step`` over exp-map and
 SLERP rows, through the package's one step loop,
-``integrators.integrate_steps``, and keeps only the snapshot states.
+``integrators.integrate_steps``, and keeps only the snapshot states.  It
+marches a column-major (Fortran-ordered) copy of the nodes, which every row
+kernel and the periodic shifts keep, so each ufunc streams whole columns;
+the snapshots are row-major copies with the same bits.
 """
 
 from __future__ import annotations
@@ -163,7 +166,8 @@ def pflow_evolve(
     want = snapshot_steps(dt, params.t_final, snapshot_times)
     step = partial(tvdrk_step, order, _exp_euler, slerp_rows)
     flow = (curve0.ds, params.p, params.eps_reg)
-    steps = integrate_steps(step, flow, curve0.m, 0.0, params.t_final, dt)
+    steps = integrate_steps(step, flow, np.asfortranarray(curve0.m), 0.0, params.t_final, dt)
+    # ndarray.copy() is row-major whatever the march's layout
     return [(i * dt, DirectorCurve(m.copy())) for i, (_, m) in enumerate(steps) if i in want]
 
 
