@@ -19,7 +19,7 @@ unprojected Cartesian variants of the x-update are there for comparison runs.
 Rays are independent: ``trace_wavefront`` cuts the fan into blocks of
 RAY_BLOCK rows, marches each block as (n, 3) arrays through
 ``integrators.integrate_steps``, keeping only the snapshot steps, and runs
-the blocks on a thread pool sized by the usable CPUs (numpy releases the
+every w-th block on thread w of one per usable CPU (numpy releases the
 interpreter lock inside its loops).  Each row's arithmetic is that of a
 one-block march, so the fronts are bit-identical whatever the block count and
 worker count; an error in any block is reported as the one-block march
@@ -40,6 +40,7 @@ import math
 import os
 import shutil
 import sys
+import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -299,22 +300,22 @@ def trace_wavefront(
 
     blocks = [slice(j, j + RAY_BLOCK) for j in range(0, n_rays, RAY_BLOCK)]
     workers = min(_usable_cpus(), len(blocks))
-    try:
-        if workers == 1:
-            for rows in blocks:
-                march(rows)
-        else:
-            # imported here: concurrent.futures loads logging, which every
-            # other command importing this module would pay for
-            from concurrent.futures import ThreadPoolExecutor
+    failed = []
 
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(march, blocks))
-    except Exception:
-        if len(blocks) == 1:
-            raise
-        # A block reports its own first failure (a stage arc is the block's
-        # maximum); march all rows as one block to raise what that reports.
+    def run(stride: List[slice]) -> None:
+        try:  # caught here, so no thread ends on an error; reported below
+            for rows in stride:
+                march(rows)
+        except Exception:
+            failed.append(stride)
+
+    threads = [threading.Thread(target=run, args=(blocks[w::workers],)) for w in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failed:
+        # a block reports its own first failure (a stage arc is its maximum): raise what one block reports
         march(slice(None))
     return [Wavefront(t=i * h, x=front_x[i], k=front_k[i]) for i in snaps]
 
@@ -356,8 +357,7 @@ def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) ->
     number of processes.  A formatter that fails raises OSError.  No child
     outlives the call, and a write that fails leaves no file.
     """
-    # imported here, as the thread pool is: subprocess would add ~8 ms to
-    # every command that imports this module
+    # imported here: subprocess adds ~8 ms to every command importing this module
     import subprocess
     import tempfile
 

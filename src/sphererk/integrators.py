@@ -8,14 +8,15 @@ stage and every output on the unit sphere by construction:
 * ``stvdrk2_step``   - two exp-map stages + one SLERP, second order
 * ``stvdrk3_step``   - three exp-map stages + two SLERPs, third order
 * ``stvdrk4_step``, ``ssprk54_step``, ``ssprk104_step`` - four-stage-order
-  candidates; their observed convergence tops out at third order (second with
-  the projected-average combination of ``ssprk104_frechet_step``), which the
+  candidates, each a table in ``STAGE_TABLES`` run by ``stage_step``; their
+  observed convergence tops out at third order (second with the
+  projected-average combination of ``ssprk104_frechet_step``), which the
   benchmark harness documents.
 
 The same construction fixes each stage's time: an exp-map substep with
 coefficient beta from a point at time c lands at c + beta, and
 SLERP(a, b, w) lands at (1 - w) c_a + w c_b.  Every stepper evaluates its
-stages at these times, written as literals in ``f.raw(q, t + c*h)``.
+stages at these times; a stage table derives them when it is built.
 
 ``tvdrk_step`` holds the Shu-Osher stage structure of TVDRK1-3 once; the
 sphere steppers here, the Cartesian baselines and the eikonal and p-harmonic
@@ -27,18 +28,14 @@ the scheme, baseline and stability runs, the eikonal ray march and the
 p-harmonic flow all step through it.  It yields each (t, state) pair as it
 is asked for, so a driver holds only the states it keeps, and the flows keep
 those at the step indices ``snapshot_steps`` picks.
-
-Scheme coefficients for the fourth-order candidates are embedded verbatim as
-15-digit decimals; their rounding is the source of the ~1e-10 accuracy floor
-the harness measures for the five-stage scheme, whose output lands at
-t + (1 - 8.8e-11) h.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Any, Callable, Iterator, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import vec
 from .errors import NonFiniteStateError, NonTangentVelocityError, SphereRKError, StepTooLargeError
@@ -135,83 +132,86 @@ def stvdrk3_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVe
     return tvdrk_step(3, _exp_euler, slerp, f, p, t, h)
 
 
-def stvdrk4_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """Eight-exp-map, six-SLERP fourth-order candidate (observed order ~3).
-
-    Its four field evaluations sit at t, t + h/2, t + h/2 and t + h.
-    """
-    fp = f.raw(p, t)
-    q1 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
-    fq1 = f.raw(q1, t + 0.5 * h)
-    q20 = _advance(p, fp, -1.065687335761845 * h, HALF_PI)
-    q21 = _advance(q1, fq1, 1.068486941019387 * h, HALF_PI)
-    q2 = slerp(q20, q21, 0.594375000000000)
-    q30 = _advance(p, fp, -0.947054029524533 * h, HALF_PI)
-    q31 = _advance(q1, fq1, -1.065495848810696 * h, HALF_PI)
-    q32 = _advance(q2, f.raw(q2, t + 0.5 * h), 1.066666666666667 * h, HALF_PI)
-    r31 = slerp(q30, q31, 0.917544541224197)
-    q3 = slerp(r31, q32, 0.738093750000000)
-    q41 = _advance(q1, fq1, 0.816060062020566 * h, HALF_PI)
-    q43 = _advance(q3, f.raw(q3, t + h), 0.500000000000000 * h, HALF_PI)
-    r41 = slerp(q1, q41, 0.505236249690773)
-    r42 = slerp(r41, q2, 0.393650000000000)
-    return slerp(r42, q43, 0.333333333333333)
+# A stage table lists a scheme's operations over numbered points.  Point 0 is
+# the step's start point p, at time 0; each operation appends one point, and
+# the last is the step's output.  Times c_j are in units of h:
+#   ("exp", j, beta)         exp_{q_j}(beta h f(q_j)), at time c_j + beta
+#   ("slerp", a, b, w)       SLERP(q_a, q_b, w), at time (1 - w) c_a + w c_b
+#   ("mean", ((w, j), ...))  projected_mean of the weighted points, at time sum w c_j
+class StageTable(NamedTuple):
+    ops: Tuple[tuple, ...]
+    times: Tuple[float, ...]  # c_j of every point, derived from the ops
 
 
-def ssprk54_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """Five-stage order-4 SSP candidate in exp-map/SLERP form.
-
-    The printed coefficients are consistent only to ~1e-11: the output lands
-    at t + 0.9999999999122238 h, which shows up as an error floor near 1e-10
-    under time-step refinement.
-    """
-    q1 = _advance(p, f.raw(p, t), 0.39175222700392 * h, HALF_PI)
-    q21 = _advance(q1, f.raw(q1, t + 0.39175222700392 * h), 0.663050807590193 * h, HALF_PI)
-    q2 = slerp(p, q21, 0.55562950593266)
-    q32 = _advance(q2, f.raw(q2, t + 0.58607968896780 * h), 0.663050807607172 * h, HALF_PI)
-    q3 = slerp(p, q32, 0.37989814861460)
-    fq3 = f.raw(q3, t + 0.47454236302687 * h)
-    q43 = _advance(q3, fq3, 0.663050807601060 * h, HALF_PI)
-    q4 = slerp(p, q43, 0.82192004589227)
-    q53 = _advance(q3, fq3, 0.663050807634935 * h, HALF_PI)
-    q54 = _advance(q4, f.raw(q4, t + 0.93501063100924 * h), 0.648818932180072 * h, HALF_PI)
-    r52 = slerp(p, q2, 0.986961045402787)
-    r53 = slerp(r52, q53, 0.195804064212316)
-    return slerp(r53, q54, 0.348336757736944)
+def stage_table(*ops: tuple) -> StageTable:
+    """The table of ``ops``, with each point's time derived from the operation that makes it."""
+    times = [0.0]
+    for op in ops:
+        if op[0] == "exp":
+            times.append(times[op[1]] + op[2])
+        elif op[0] == "slerp":
+            times.append((1.0 - op[3]) * times[op[1]] + op[3] * times[op[2]])
+        else:
+            times.append(sum(w * times[j] for w, j in op[1]))
+    return StageTable(ops, tuple(times))
 
 
-def _sixth_substeps(f: VelocityField, q: UnitVector3, s: float, h: float) -> UnitVector3:
-    """Five exp-map substeps of h/6 from q at time s, with stages at s + j h/6."""
-    sixth = h / 6.0
-    for j in range(5):
-        q = _advance(q, f.raw(q, s + j * sixth), sixth, HALF_PI)
-    return q
+def stage_step(table: StageTable, f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
+    """One step of ``table`` from p at time t, with every stage arc below pi/2: each
+    point's field is evaluated once, at t + c_j h, however many substeps start from it."""
+    times = table.times
+    qs = [p]
+    vs = [None] * len(times)
+    for op in table.ops:
+        if op[0] == "exp":
+            _, j, beta = op
+            v = vs[j]
+            if v is None:
+                v = vs[j] = f.raw(qs[j], t + times[j] * h)
+            qs.append(_advance(qs[j], v, beta * h, HALF_PI))
+        elif op[0] == "slerp":
+            qs.append(slerp(qs[op[1]], qs[op[2]], op[3]))
+        else:
+            qs.append(projected_mean([(w, qs[j]) for w, j in op[1]]))
+    return qs[-1]
 
 
-def ssprk104_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """Ten-stage order-4 SSP candidate with progressive-SLERP combinations.
-
-    Two runs of five h/6 substeps, from p at t and from the first
-    combination at t + h/3; the SLERP weights 0.4, 0.9, 0.6 are the fold
-    parameters of the convex combinations.
-    """
-    q65 = _sixth_substeps(f, p, t, h)
-    q1010 = _sixth_substeps(f, slerp(p, q65, 0.4), t + h / 3.0, h)
-    return slerp(slerp(p, q65, 0.9), q1010, 0.6)
+def _ssprk104_table(first: tuple, *last: tuple) -> StageTable:
+    """SSPRK(10,4): h/6 substeps from p to point 5, ``first``, h/6 substeps from it to 11, ``last``."""
+    sixths = [("exp", j, 1.0 / 6.0) for j in range(11) if j != 5]
+    return stage_table(*sixths[:5], first, *sixths[5:], *last)
 
 
-def ssprk104_frechet_step(f: VelocityField, p: UnitVector3, t: float, h: float) -> UnitVector3:
-    """``ssprk104_step`` with each convex combination a projected average.
-
-    The projected average of the same weighted points is the fast stand-in
-    for their Frechet mean.  Its combination defect caps this scheme at
-    second order; the Frechet mean itself would reproduce the
-    progressive-SLERP accuracy instead, because the stage points are nearly
-    collinear and both averages then agree beyond the measured order.
-    """
-    q65 = _sixth_substeps(f, p, t, h)
-    q1010 = _sixth_substeps(f, projected_mean([(0.6, p), (0.4, q65)]), t + h / 3.0, h)
-    return projected_mean([(0.04, p), (0.36, q65), (0.6, q1010)])
+STAGE_TABLES: dict[SchemeId, StageTable] = {
+    # eight exp maps and six SLERPs; the fields of points 0, 1, 4 and 9 are
+    # evaluated, at times 0, 1/2, 1/2 and 1
+    SchemeId.STVDRK4: stage_table(
+        ("exp", 0, 0.500000000000000),
+        ("exp", 0, -1.065687335761845), ("exp", 1, 1.068486941019387), ("slerp", 2, 3, 0.594375000000000),
+        ("exp", 0, -0.947054029524533), ("exp", 1, -1.065495848810696), ("exp", 4, 1.066666666666667),
+        ("slerp", 5, 6, 0.917544541224197), ("slerp", 8, 7, 0.738093750000000),
+        ("exp", 1, 0.816060062020566), ("exp", 9, 0.500000000000000),
+        ("slerp", 1, 10, 0.505236249690773), ("slerp", 12, 4, 0.393650000000000),
+        ("slerp", 13, 11, 0.333333333333333)),
+    # five stages; the printed 15-digit coefficients are consistent only to
+    # ~1e-11: the output lands at time 1 - 8.8e-11, the source of the ~1e-10
+    # error floor under time-step refinement
+    SchemeId.SSSPRK54: stage_table(
+        ("exp", 0, 0.39175222700392), ("exp", 1, 0.663050807590193), ("slerp", 0, 2, 0.55562950593266),
+        ("exp", 3, 0.663050807607172), ("slerp", 0, 4, 0.37989814861460),
+        ("exp", 5, 0.663050807601060), ("slerp", 0, 6, 0.82192004589227),
+        ("exp", 5, 0.663050807634935), ("exp", 7, 0.648818932180072), ("slerp", 0, 3, 0.986961045402787),
+        ("slerp", 10, 8, 0.195804064212316), ("slerp", 11, 9, 0.348336757736944)),
+    # the SLERP weights 0.4, 0.9, 0.6 are the fold parameters of the convex
+    # combinations 0.6 p + 0.4 q_5 and 0.04 p + 0.36 q_5 + 0.6 q_11
+    SchemeId.SSSPRK104: _ssprk104_table(("slerp", 0, 5, 0.4), ("slerp", 0, 5, 0.9), ("slerp", 12, 11, 0.6)),
+    # the same combinations as projected averages, the fast stand-in for their
+    # Frechet mean, whose defect caps the scheme at second order; the Frechet
+    # mean itself would keep the progressive-SLERP accuracy, as the stage
+    # points are nearly collinear and both averages agree beyond that order
+    SchemeId.SSSPRK104_FRECHET: _ssprk104_table(("mean", ((0.6, 0), (0.4, 5))),
+                                                ("mean", ((0.04, 0), (0.36, 5), (0.6, 11)))),
+}
 
 
 def projected_mean(weighted_points: WeightedPoints) -> UnitVector3:
@@ -231,11 +231,10 @@ STEPPERS: dict[SchemeId, Stepper] = {
     SchemeId.SFE: sfe_step,
     SchemeId.STVDRK2: stvdrk2_step,
     SchemeId.STVDRK3: stvdrk3_step,
-    SchemeId.STVDRK4: stvdrk4_step,
-    SchemeId.SSSPRK54: ssprk54_step,
-    SchemeId.SSSPRK104: ssprk104_step,
-    SchemeId.SSSPRK104_FRECHET: ssprk104_frechet_step,
+    **{scheme: partial(stage_step, table) for scheme, table in STAGE_TABLES.items()},
 }
+stvdrk4_step, ssprk54_step, ssprk104_step, ssprk104_frechet_step = (
+    STEPPERS[s] for s in (SchemeId.STVDRK4, SchemeId.SSSPRK54, SchemeId.SSSPRK104, SchemeId.SSSPRK104_FRECHET))
 
 
 def stepper_for(scheme: SchemeId) -> Stepper:

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from functools import partial
@@ -493,6 +494,19 @@ def test_block_march_errors_match_one_block(monkeypatch, cpus, nan_from, fast_fr
     with pytest.raises(want.type) as got:
         trace_wavefront(model, XS, n, h, 5 * h, scheme="stvdrk3")
     assert str(got.value) == str(want.value)
+
+
+def test_block_march_imports_no_thread_pool():
+    # concurrent.futures loads logging: the first threaded march would pay for
+    # the import inside its own time
+    code = ("import sys\n"
+            "from sphererk import eikonal\n"
+            "eikonal._usable_cpus = lambda: 2\n"
+            "eikonal.trace_wavefront(eikonal.constant_model(), (1.0, 0.0, 0.0), eikonal.RAY_BLOCK + 5, 0.1, 0.2)\n"
+            "sys.exit('concurrent.futures' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(eikonal.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # Ray 1 of 3 on y31 after 5 steps of pi/50 from e1, (x, k), recorded from

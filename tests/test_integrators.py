@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from sphererk.errors import NonFiniteStateError, NonTangentVelocityError, Sphere
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
 from sphererk.geometry import HALF_PI, exp_raw, geodesic_distance, project, slerp
 from sphererk.integrators import (
+    STAGE_TABLES,
     STEPPERS,
     SchemeId,
     _advance,
@@ -256,7 +258,7 @@ STVDRK4_Q3_WEIGHTS = (0.0215956, 0.24031065, 0.73809375)
 
 
 def _stvdrk4_q3_points(f, p, t, h):
-    """The three points STVDRK4 combines into its third stage (see stvdrk4_step)."""
+    """The three points STVDRK4 combines into its third stage (points 5-7 of its stage table)."""
     fp = f.raw(p, t)
     q1 = _advance(p, fp, 0.500000000000000 * h, HALF_PI)
     fq1 = f.raw(q1, t)
@@ -267,24 +269,6 @@ def _stvdrk4_q3_points(f, p, t, h):
     q31 = _advance(q1, fq1, -1.065495848810696 * h, HALF_PI)
     q32 = _advance(q2, f.raw(q2, t), 1.066666666666667 * h, HALF_PI)
     return q30, q31, q32
-
-
-def test_stvdrk4_step_makes_eight_exp_maps_and_four_field_evaluations(monkeypatch):
-    import sphererk.integrators as integrators
-
-    calls = {"exp_raw": 0, "field": 0}
-
-    def counted_exp_raw(p, s):
-        calls["exp_raw"] += 1
-        return exp_raw(p, s)
-
-    def counted_field(p, t):
-        calls["field"] += 1
-        return VORTEX.raw(p, t)
-
-    monkeypatch.setattr(integrators, "exp_raw", counted_exp_raw)
-    stvdrk4_step(VelocityField(counted_field, name="counted"), P0, 0.0, 0.1)
-    assert calls == {"exp_raw": 8, "field": 4}
 
 
 def test_stvdrk4_fold_orders_disagree():
@@ -348,7 +332,8 @@ def _shu_osher_fold(alpha, beta, f, p, t, h):
         (([[1.0], [0.5, 0.5]], [[1.0], [0.0, 0.5]]), stvdrk2_step),
         (([[1.0], [0.75, 0.25], [1.0 / 3.0, 0.0, 2.0 / 3.0]],
           [[1.0], [0.0, 0.25], [0.0, 0.0, 2.0 / 3.0]]), stvdrk3_step),
-        (_ssprk104_tableau(), ssprk104_step),
+        # a partial has no __name__, so its id is written out
+        pytest.param(_ssprk104_tableau(), ssprk104_step, id="tableau2-ssprk104_step"),
     ],
 )
 def test_generic_ssp_step_matches_hardcoded(tableau, step):
@@ -567,7 +552,11 @@ CANDIDATES = {
 
 @pytest.mark.parametrize(
     "step",
-    [sfe_step, stvdrk2_step, stvdrk3_step, *CANDIDATES.values()]
+    [sfe_step, stvdrk2_step, stvdrk3_step]
+    # a partial has no __name__, so the candidates' ids are written out
+    + [pytest.param(step, id=f"{step_id}_step") for step_id, step in
+       [("stvdrk4", stvdrk4_step), ("ssprk54", ssprk54_step), ("ssprk104", ssprk104_step),
+        ("ssprk104_frechet", ssprk104_frechet_step)]]
     # baseline ids "_" + name stay the same whatever object builds the stepper
     + [pytest.param(step, id=f"_{b.value}") for b, step in BASELINE_STEPPERS.items()],
 )
@@ -680,6 +669,79 @@ def test_pinned_candidate_endpoints(field, name):
     f, p0 = (VORTEX, P0) if field == "vortex4" else (TWIRL, TWIRL_P0)
     end = last_state(integrate_steps(CANDIDATES[name], f, p0, 0.0, 2.0, 0.1))
     assert vec.norm(vec.sub(end, PINNED_CANDIDATE_ENDPOINTS[field, name])) <= 1e-14
+
+
+def _evaluated_points(table):
+    """The points whose field a step of ``table`` evaluates, in the order it needs them."""
+    return list(dict.fromkeys(op[1] for op in table.ops if op[0] == "exp"))
+
+
+@pytest.mark.parametrize("scheme,end", [(SchemeId.STVDRK4, 1.0), (SchemeId.SSSPRK54, 0.9999999999122238),
+                                        (SchemeId.SSSPRK104, 1.0), (SchemeId.SSSPRK104_FRECHET, 1.0)])
+def test_stage_tables_derive_the_stage_times(scheme, end):
+    # sssprk54's printed coefficients land its output at t + (1 - 8.8e-11) h
+    table = STAGE_TABLES[scheme]
+    assert abs(table.times[-1] - end) <= 1e-15
+    # with t = 0 and h = 1 a step evaluates each field at its point's time
+    seen = []
+    stepper_for(scheme)(VelocityField(lambda p, t: seen.append(t) or vec.ZERO), P0, 0.0, 1.0)
+    assert seen == [table.times[j] for j in _evaluated_points(table)]
+
+
+def test_stvdrk4_evaluates_its_fields_at_0_half_half_1():
+    table = STAGE_TABLES[SchemeId.STVDRK4]
+    times = sorted(table.times[j] for j in _evaluated_points(table))
+    assert np.allclose(times, [0.0, 0.5, 0.5, 1.0], rtol=0.0, atol=1e-15)
+
+
+# w(p, t) e1 x p with w = 1 + p_y/2 + 0.3 cos 2t keeps e2 on the great circle
+# perpendicular to e1, p = (0, cos th, sin th).  Exp maps and SLERPs along it
+# are exact angle arithmetic, so each scheme reduces to its Euclidean Runge-Kutta
+# method on th' = 1 + cos(th)/2 + 0.3 cos 2t.
+GREAT_CIRCLE = VelocityField(
+    lambda p, t: vec.scale((0.0, -p[2], p[1]), 1.0 + 0.5 * p[1] + 0.3 * math.cos(2.0 * t)), name="great-circle")
+
+
+@functools.lru_cache(maxsize=None)
+def _great_circle_endpoint(t_final=2.0, n=100_000):
+    """The flow from e2 at t_final, by classical RK4 on th at n steps."""
+    def g(th, t):
+        return 1.0 + 0.5 * math.cos(th) + 0.3 * math.cos(2.0 * t)
+
+    th, h = 0.0, t_final / n
+    for i in range(n):
+        t = i * h
+        k1 = g(th, t)
+        k2 = g(th + 0.5 * h * k1, t + 0.5 * h)
+        k3 = g(th + 0.5 * h * k2, t + 0.5 * h)
+        k4 = g(th + h * k3, t + h)
+        th += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (0.0, math.cos(th), math.sin(th))
+
+
+# (order, error floor): a pair is fitted only when its finer error is above
+# the floor.  sssprk54's ~1e-10 coefficient floor needs a margin of 50; the
+# projected mean is no angle interpolation, so sssprk104-frechet stays second order.
+GREAT_CIRCLE_ORDERS = {
+    SchemeId.STVDRK4: (4, 0.0),
+    SchemeId.SSSPRK54: (4, 5e-9),
+    SchemeId.SSSPRK104: (4, 0.0),
+    SchemeId.SSSPRK104_FRECHET: (2, 0.0),
+    SchemeId.STVDRK3: (3, 0.0),
+}
+
+
+@pytest.mark.parametrize("scheme", list(GREAT_CIRCLE_ORDERS), ids=lambda s: s.value)
+def test_candidates_are_fourth_order_on_a_great_circle(scheme):
+    # in one dimension the candidates keep their order: the r >= 4 barrier
+    # comes from the sphere's two-dimensional geometry
+    order, floor = GREAT_CIRCLE_ORDERS[scheme]
+    exact = _great_circle_endpoint()
+    errs = [vec.norm(vec.sub(last_state(integrate_steps(stepper_for(scheme), GREAT_CIRCLE, (0.0, 1.0, 0.0),
+                                                        0.0, 2.0, 0.2 * 2.0**-k)), exact)) for k in range(6)]
+    slopes = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:]) if fine > floor]
+    assert len(slopes) >= 2
+    assert all(abs(s - order) <= 0.25 for s in slopes), slopes
 
 
 # Endpoints at T = 2 with h = 0.1, recorded from the hand-written RK2-4

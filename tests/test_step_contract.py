@@ -5,6 +5,9 @@ rotation with one component of one stage's velocity replaced by a signed
 zero, a subnormal, a huge, an infinite or a NaN value.  The step must return
 a plain tuple of three floats of unit norm to UNIT_NORM_TOL, or raise a
 ``SphereRKError``; any other exception or result fails.
+
+One step of each stage-table scheme makes exactly the exp maps, SLERPs,
+projections and field evaluations that its table lists.
 """
 
 import itertools
@@ -14,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import unit_vectors
-from sphererk import vec
+from sphererk import integrators, vec
 from sphererk.baselines import ON_SPHERE, baseline_stepper
 from sphererk.errors import SphereRKError
 from sphererk.fields import rigid_rotation_field
 from sphererk.geometry import UNIT_NORM_TOL
-from sphererk.integrators import SchemeId, stepper_for
+from sphererk.integrators import STAGE_TABLES, SchemeId, stepper_for
 
 STEPPERS = {s.value: stepper_for(s) for s in SchemeId}
 STEPPERS.update({b.value: baseline_stepper(b) for b in ON_SPHERE})
@@ -64,3 +67,34 @@ def test_step_is_on_sphere_or_raises_typed_error(name, p, omega, h, stage, compo
         return
     assert type(q) is tuple and len(q) == 3 and all(type(c) is float for c in q)
     assert abs(vec.norm(q) - 1.0) <= UNIT_NORM_TOL
+
+
+# Exp maps, SLERPs, projections and field evaluations of one step.
+STAGE_COUNTS = {
+    SchemeId.STVDRK4: (8, 6, 0, 4),
+    SchemeId.SSSPRK54: (6, 6, 0, 5),
+    SchemeId.SSSPRK104: (10, 3, 0, 10),
+    SchemeId.SSSPRK104_FRECHET: (10, 0, 2, 10),
+}
+
+
+def _table_counts(table):
+    kinds = [op[0] for op in table.ops]
+    evaluated = {op[1] for op in table.ops if op[0] == "exp"}
+    return kinds.count("exp"), kinds.count("slerp"), kinds.count("mean"), len(evaluated)
+
+
+@pytest.mark.parametrize("scheme", list(STAGE_COUNTS), ids=lambda s: s.value)
+def test_step_counts_equal_the_table_counts(scheme, monkeypatch):
+    # each point's field is evaluated once however many substeps start from it
+    calls = {"exp_raw": 0, "slerp": 0, "project": 0}
+    for name in calls:
+        def counted(*args, name=name, call=getattr(integrators, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(integrators, name, counted)
+    f = CorruptedRotation((0.3, -0.5, 0.8))
+    STEPPERS[scheme.value](f, (1.0, 0.0, 0.0), 0.0, 0.1)
+    got = (calls["exp_raw"], calls["slerp"], calls["project"], next(f.calls))
+    assert got == _table_counts(STAGE_TABLES[scheme]) == STAGE_COUNTS[scheme]
