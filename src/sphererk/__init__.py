@@ -4,7 +4,6 @@ from .baselines import BaselineId, angle_recurrence, baseline_stepper
 from .errors import (
     AntipodalPointsError,
     DegenerateFrontError,
-    LogBranchUndefinedError,
     NearPoleError,
     NonFiniteStateError,
     NonPositiveError,
@@ -12,7 +11,6 @@ from .errors import (
     ReferenceUnavailableError,
     SphereRKError,
     StepTooLargeError,
-    ZeroQuaternionError,
     ZeroVectorError,
 )
 from .fields import (
@@ -41,15 +39,6 @@ from .integrators import (
     stvdrk3_step,
     stvdrk4_step,
     tvdrk_step,
-)
-from .quaternion import (
-    Quaternion,
-    hamilton_product,
-    inverse,
-    q_exp,
-    q_log,
-    q_pow,
-    quat_slerp,
 )
 
 __version__ = "0.1.0"

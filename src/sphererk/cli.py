@@ -146,10 +146,6 @@ def _cmd_verify(args) -> int:
             f"ptvdrk3p h^3 error coefficient: {rep.ptvdrk3p_h3_coefficient:.6f} (expect -1/3)"
         )
         ok = rep.passed
-    elif args.target == "slerp-parity":
-        rep = harness.verify_slerp_parity()
-        print(f"max deviation over {rep.n_pairs} pairs: {rep.max_deviation:.3e}")
-        ok = rep.passed
     else:  # table2
         rep = harness.verify_table2()
         for name, r in sorted(rep.reports.items()):
@@ -211,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pharmonic)
 
     p = sub.add_parser("verify", help="run a self-check (exit 2 on failure)")
-    p.add_argument("--target", choices=["appendix-a", "appendix-b", "slerp-parity", "table2"],
-                   required=True)
+    p.add_argument("--target", choices=["appendix-a", "appendix-b", "table2"], required=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

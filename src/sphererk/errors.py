@@ -25,14 +25,6 @@ class NonFiniteStateError(SphereRKError, ArithmeticError):
     """A state, velocity or error value is NaN or infinite, so no guard can vouch for it."""
 
 
-class ZeroQuaternionError(SphereRKError, ValueError):
-    """The zero quaternion has no inverse or logarithm."""
-
-
-class LogBranchUndefinedError(SphereRKError, ValueError):
-    """Quaternion logarithm requested on the cut (a <= 0 with zero imaginary part)."""
-
-
 class NearPoleError(SphereRKError, ValueError):
     """Velocity field evaluated too close to a vortex center."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -30,9 +29,9 @@ from .fields import (
     rigid_rotation_field,
     vortex4_field,
 )
-from .geometry import ANTIPODAL_LIMIT, UNIT_NORM_TOL, UnitVector3, geodesic_distance, project, slerp
+# slerp is not called here: perfbench/tracer.py patches it as a harness attribute
+from .geometry import UNIT_NORM_TOL, UnitVector3, project, slerp  # noqa: F401
 from .integrators import SchemeId, grid_steps, integrate_steps, stepper_for
-from .quaternion import quat_slerp
 from .vec import Vec3
 
 AnyScheme = Union[SchemeId, BaselineId]
@@ -129,15 +128,16 @@ def fit_order(rows: Sequence[Tuple[float, float]],
     (err > ``cap``) are excluded before fitting; with ``finest`` set only the
     last ``finest`` usable rows are fitted.  Raises NonFiniteStateError on NaN
     or infinite error values, NonPositiveError on negative ones, ValueError
-    when fewer than three usable rows remain.
+    when the usable rows hold fewer than three distinct step sizes.
     """
     if not all(math.isfinite(err) for _, err in rows):
         raise NonFiniteStateError("error values must be finite")
     if any(err < 0.0 for _, err in rows):
         raise NonPositiveError("error values must be positive")
     usable = _usable_rows(rows, floor, cap, finest)
-    if len(usable) < 3:
-        raise ValueError(f"need at least 3 usable rows to fit an order, got {len(usable)}")
+    distinct = len({h for h, _ in usable})
+    if distinct < 3:
+        raise ValueError(f"need at least 3 distinct step sizes to fit an order, got {distinct}")
     logh = np.log([h for h, _ in usable])
     loge = np.log([err for _, err in usable])
     slope, _ = np.polyfit(logh, loge, 1)
@@ -427,42 +427,6 @@ def verify_appendix_b() -> AppendixBReport:
         and abs(coeff - (-1.0 / 3.0)) <= 0.05 * (1.0 / 3.0)
     )
     return AppendixBReport(orders, coeff, passed)
-
-
-@dataclass(frozen=True)
-class SlerpParityReport:
-    n_pairs: int
-    max_deviation: float
-    passed: bool
-
-
-def random_unit_vector(rng: random.Random) -> UnitVector3:
-    while True:
-        v = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        n = vec.norm(v)
-        if n > 1e-6:
-            return (v[0] / n, v[1] / n, v[2] / n)
-
-
-def verify_slerp_parity() -> SlerpParityReport:
-    """Componentwise agreement of geodesic-form and quaternion-form SLERP on 1000 random pairs."""
-    n_pairs = 1000
-    rng = random.Random(20240817)
-    ts = [0.1 * k for k in range(1, 10)]
-    worst = 0.0
-    count = 0
-    while count < n_pairs:
-        p = random_unit_vector(rng)
-        q = random_unit_vector(rng)
-        omega = geodesic_distance(p, q)
-        if not (1e-6 < omega < ANTIPODAL_LIMIT):
-            continue
-        count += 1
-        for t in ts:
-            d = slerp(p, q, t)
-            qd = quat_slerp(p, q, t)
-            worst = max(worst, max(abs(d[i] - qd[i]) for i in range(3)))
-    return SlerpParityReport(n_pairs, worst, worst <= 1e-12)
 
 
 @dataclass(frozen=True)

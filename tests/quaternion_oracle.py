@@ -1,8 +1,9 @@
-"""Quaternion algebra and the quaternion-form SLERP.
+"""Quaternion algebra and the quaternion-form SLERP, a test oracle.
 
 Serves as an independent parity oracle for :func:`sphererk.geometry.slerp`:
 sphere points embed as pure quaternions (0, p) and the interpolant is
-``qa (qa^-1 qb)^t``.  The two routes must agree to 1e-12 componentwise.
+``qa (qa^-1 qb)^t``.  The two routes must agree to 1e-12 componentwise
+(acceptance criterion 7).  The package runs only the geodesic form.
 """
 
 from __future__ import annotations
@@ -10,15 +11,19 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import vec
-from .errors import (
-    AntipodalPointsError,
-    LogBranchUndefinedError,
-    NonFiniteStateError,
-    ZeroQuaternionError,
-)
-from .geometry import ANTIPODAL_LIMIT, UnitVector3, geodesic_distance
-from .vec import Vec3
+from sphererk import vec
+from sphererk.errors import AntipodalPointsError, NonFiniteStateError, SphereRKError
+from sphererk.geometry import ANTIPODAL_LIMIT, UnitVector3, geodesic_distance
+from sphererk.vec import Vec3
+
+
+class ZeroQuaternionError(SphereRKError, ValueError):
+    """The zero quaternion has no inverse or logarithm."""
+
+
+class LogBranchUndefinedError(SphereRKError, ValueError):
+    """Quaternion logarithm requested on the cut (a <= 0 with zero imaginary part)."""
+
 
 NEAR_REAL = 1e-10
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quaternion_oracle import quat_slerp
 from sphererk.batch import (
     check_arc,
     exp_rows,
@@ -15,7 +16,6 @@ from sphererk.batch import (
 from sphererk.errors import AntipodalPointsError, NonFiniteStateError, StepTooLargeError
 from sphererk.geometry import UNIT_NORM_TOL, exp_raw, geodesic_distance, slerp
 from sphererk.integrators import snapshot_steps
-from sphererk.quaternion import quat_slerp
 
 # The last separation sits just inside ANTIPODAL_LIMIT = pi - 1e-3.
 OMEGAS = [0.0, 1e-12, 1e-9, 1e-7, 1e-3, 1.0, 3.0, math.pi - 1.001e-3]

@@ -47,6 +47,17 @@ def test_converge_writes_csv_and_sidecar(tmp_path, capsys):
     assert "order_e2" in sidecar["stvdrk2"]
 
 
+def test_converge_with_one_repeated_step_size_fits_no_order(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    code = main([
+        "converge", "--problem", "vortex4", "--scheme", "rk4",
+        "--h", "0.1,0.1,0.1,0.1", "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "rk4: order_e2=None order_enorm=None\n"
+    assert json.loads(out.with_suffix(".json").read_text())["rk4"]["order_e2"] is None
+
+
 def test_converge_json_output(tmp_path):
     out = tmp_path / "conv.json"
     code = main([
@@ -223,11 +234,18 @@ def test_usage_error_exit_code():
     assert main(["nonsense"]) == 1
     assert main(["converge", "--problem", "vortex4", "--scheme", "sfe",
                  "--h", "garbage", "--out", "x.csv"]) == 1
+    assert main(["verify", "--target", "slerp-parity"]) == 1
 
 
-def test_verify_appendix_b_passes(capsys):
-    assert main(["verify", "--target", "appendix-b"]) == 0
-    assert "PASS" in capsys.readouterr().out
+def _verify_targets():
+    verify = _subparsers(build_parser())["verify"]
+    return next(a for a in verify._actions if "--target" in a.option_strings).choices
+
+
+@pytest.mark.parametrize("target", _verify_targets())
+def test_verify_targets_pass(target, capsys):
+    assert main(["verify", "--target", target]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -23,7 +23,6 @@ from sphererk.harness import (
     tvdrk2_planar_norm,
     verify_appendix_a,
     verify_appendix_b,
-    verify_slerp_parity,
     vortex_problem,
     write_convergence_csv,
     write_orders_json,
@@ -62,6 +61,11 @@ def test_fit_order_rejects_non_finite_errors(bad):
 def test_fit_order_needs_three_usable_rows():
     with pytest.raises(ValueError):
         fit_order([(0.1, 1e-2), (0.05, 2.5e-3)])
+    # rows count by distinct step size: one h has no slope, two fit exactly
+    with pytest.raises(ValueError):
+        fit_order([(0.1, 1e-3)] * 4)
+    with pytest.raises(ValueError):
+        fit_order([(0.1, 1e-2), (0.05, 2.5e-3), (0.05, 2.5e-3), (0.05, 2.5e-3)])
 
 
 def test_convergence_report_shape():
@@ -261,12 +265,6 @@ def test_appendix_b_report():
     assert rep.orders["ptvdrk2p"] == pytest.approx(2.0, abs=0.1)
     assert rep.orders["ptvdrk3p"] == pytest.approx(2.0, abs=0.1)
     assert rep.ptvdrk3p_h3_coefficient == pytest.approx(-1.0 / 3.0, rel=0.05)
-
-
-def test_slerp_parity_report():
-    rep = verify_slerp_parity()
-    assert rep.n_pairs == 1000
-    assert rep.passed and rep.max_deviation <= 1e-12
 
 
 def test_resolve_unknown_scheme():

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import seeded_unit_vectors
 from sphererk import vec
-from sphererk.quaternion import quat_slerp
 from sphererk.errors import NearPoleError, NonFiniteStateError
 from sphererk.fields import (
     POLE_GUARD,
@@ -25,7 +24,7 @@ from sphererk.fields import (
     vortex4_field,
 )
 from sphererk.geometry import SMALL_ANGLE, exp_raw, geodesic_distance, project, slerp
-from sphererk.harness import _attractor_distance, random_unit_vector, run_stability
+from sphererk.harness import _attractor_distance, run_stability
 from sphererk.integrators import SchemeId, _advance, stepper_for, stvdrk3_step
 
 N = 1000
@@ -167,8 +166,6 @@ def test_scalar_points_are_plain_tuples():
         slerp(p, q, 0.3),
         slerp(p, near, 0.3),
         project((2.0, 0.0, 0.0)),
-        quat_slerp(p, q, 0.3),
-        random_unit_vector(random.Random(101)),
     ]
     points += [stepper_for(s)(vortex4_field(), (1.0, 0.0, 0.0), 0.0, 0.1) for s in SchemeId]
     for point in points:
