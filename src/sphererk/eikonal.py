@@ -51,7 +51,7 @@ import numpy as np
 
 from .batch import check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows
 from .errors import DegenerateFrontError
-from .geometry import HALF_PI, UnitVector3
+from .geometry import HALF_PI, UnitVector3, check_on_sphere
 from .integrators import integrate_steps, snapshot_steps, tvdrk_step
 
 Y31_AMPLITUDE = -0.125 * math.sqrt(21.0 / math.pi)
@@ -233,10 +233,12 @@ def initial_rays(model: VelocityModel, xs: UnitVector3, n_rays: int):
 
     |k| = 1/v(xs) makes the initial data satisfy H = 0 exactly.  Returns the
     (n_rays, 3) arrays (x0, k0) in column-major (Fortran) order, the layout
-    the march steps in.
+    the march steps in.  A source with a NaN or infinite coordinate raises
+    NonFiniteStateError, and a finite one off the unit sphere ValueError.
     """
     if n_rays < 3:
         raise ValueError("need at least 3 rays to form a wavefront")
+    check_on_sphere(xs, "source point")
     xs_arr = np.asarray(xs, dtype=float)
     # orthonormal tangent frame at xs
     helper = np.array([0.0, 1.0, 0.0])

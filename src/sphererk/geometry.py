@@ -52,6 +52,17 @@ def project(v: Vec3) -> UnitVector3:
     return (x / n, y / n, z / n)
 
 
+def check_on_sphere(p: Vec3, what: str) -> None:
+    """Raise NonFiniteStateError unless every coordinate of ``p`` is finite, and
+    ValueError unless |p| is 1 to UNIT_NORM_TOL; ``what`` names p in the message."""
+    if not all(map(math.isfinite, p)):
+        raise NonFiniteStateError(f"{what} {tuple(p)!r} is not finite")
+    x, y, z = p
+    defect = math.sqrt(x * x + y * y + z * z) - 1.0
+    if not abs(defect) <= UNIT_NORM_TOL:
+        raise ValueError(f"{what} {tuple(p)!r} is off the unit sphere: |p| - 1 = {defect!r}")
+
+
 def geodesic_distance(p: Vec3, q: Vec3) -> float:
     """Arc length between two unit vectors, in [0, pi].
 

@@ -30,7 +30,7 @@ from .fields import (
     vortex4_field,
 )
 # slerp is not called here: perfbench/tracer.py patches it as a harness attribute
-from .geometry import UNIT_NORM_TOL, UnitVector3, project, slerp  # noqa: F401
+from .geometry import UNIT_NORM_TOL, UnitVector3, check_on_sphere, project, slerp  # noqa: F401
 from .integrators import SchemeId, grid_steps, integrate_steps, stepper_for
 from .vec import Vec3
 
@@ -215,6 +215,7 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Endpoint errors over a step-size sweep, with fitted orders attached.
 
+    Each distinct h of ``h_list`` is run once, coarsest first.
     ``order_enorm`` is None when every norm error sits at the round-off floor
     (the projected and SLERP-based schemes, reported as exact).  Raises
     ReferenceUnavailableError when the reference's error estimate is above
@@ -222,7 +223,7 @@ def run_convergence(
     """
     scheme = resolve_scheme(scheme)
     step = scheme_stepper(scheme)
-    hs = sorted(h_list, reverse=True)
+    hs = sorted(set(h_list), reverse=True)
     ref = reference_endpoint(problem)
     rows = []
     for h in hs:
@@ -295,15 +296,15 @@ def run_stability(
     ``integrate_steps`` over n_steps * h, so h must be finite and > 0, and
     folds each state into its distance as it arrives: only the distances are
     kept.  A negative ``n_steps``
-    raises ValueError; a start point with a NaN or infinite coordinate raises
-    NonFiniteStateError, whatever ``n_steps``.
+    raises ValueError; whatever ``n_steps``, a start point with a NaN or
+    infinite coordinate raises NonFiniteStateError, and a finite one off the
+    unit sphere ValueError.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps!r}")
     scheme = resolve_scheme(scheme)
     x0: Vec3 = q0 if q0 is not None else project((1.0, 1.0, 1.0))
-    if not all(map(math.isfinite, x0)):
-        raise NonFiniteStateError(f"stability start point {tuple(x0)!r} is not finite")
+    check_on_sphere(x0, "stability start point")
     f = projected_linear_field(STABILITY_MATRIX)
     steps = integrate_steps(scheme_stepper(scheme), f, x0, 0.0, n_steps * h, h)
     distances = [_attractor_distance(x) for _, x in steps]

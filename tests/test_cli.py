@@ -1,6 +1,10 @@
 import argparse
 import json
+import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +60,18 @@ def test_converge_with_one_repeated_step_size_fits_no_order(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == "rk4: order_e2=None order_enorm=None\n"
     assert json.loads(out.with_suffix(".json").read_text())["rk4"]["order_e2"] is None
+
+
+def test_converge_runs_each_repeated_step_size_once(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    code = main([
+        "converge", "--problem", "vortex4", "--scheme", "stvdrk3",
+        "--h", "0.1,0.05,0.025,0.0125,0.0125,0.0125", "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "stvdrk3: order_e2=3.0085618249752692 order_enorm=None\n"
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == [
+        "0.1", "0.05", "0.025", "0.0125"]
 
 
 def test_converge_json_output(tmp_path):
@@ -207,11 +223,15 @@ def test_subcommand_option_sets():
     }
 
 
+def _readme_block(heading):
+    """The first fenced code block under README's ``heading``, without its fence lines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n{heading}\n", 1)[1].split("```", 2)[1].split("\n", 1)[1]
+
+
 def _readme_cli_commands():
     """Every command of README's "## CLI" code block, as an argv list without "sphererk"."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _readme_block("## CLI").replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sphererk ")]
 
 
@@ -226,6 +246,24 @@ def test_readme_cli_commands_run(tmp_path, argv):
 
 def test_readme_cli_block_covers_every_subcommand():
     assert {argv[0] for argv in _readme_cli_commands()} == set(_subparsers(build_parser()))
+
+
+def test_readme_library_quick_start_runs():
+    namespace = {}
+    exec(_readme_block("## Library quick start"), namespace)
+    assert abs(math.sqrt(sum(c * c for c in namespace["p_end"])) - 1.0) <= 1e-12
+
+
+def test_importing_the_package_loads_nothing_else():
+    # a fresh `import sphererk` is the benchmark's setup_s: it loads the
+    # package alone, not its modules or numpy
+    code = ("import sys\n"
+            "import sphererk\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sphererk') or m == 'numpy'))\n")
+    src = os.path.dirname(os.path.dirname(eikonal.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "['sphererk']\n"
 
 
 def test_usage_error_exit_code():

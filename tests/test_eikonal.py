@@ -133,6 +133,25 @@ def test_unit_speed_rays_travel_geodesics():
     assert max(abs(di - tf) for di in d) < 1e-6
 
 
+@pytest.mark.parametrize("xs,error", [
+    ((2.0, 0.0, 0.0), ValueError),
+    ((0.0, 0.0, 1.0 + 1e-11), ValueError),
+    ((0.6, -0.48, 0.64 - 1e-11), ValueError),
+    ((math.nan, 0.0, 1.0), NonFiniteStateError),
+    ((0.0, math.inf, 0.0), NonFiniteStateError),
+])
+def test_source_off_the_sphere_fails_before_any_thread_starts(monkeypatch, xs, error):
+    # the march itself would not notice: from (2, 0, 0) its fronts sit at |x| = 1.90, 1.77, 1.66, ...
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a march thread was made")
+
+    monkeypatch.setattr(eikonal.threading, "Thread", no_thread)
+    with pytest.raises(error):
+        initial_rays(constant_model(), xs, 8)
+    with pytest.raises(error):
+        trace_wavefront(constant_model(), xs, 8, 0.1, 0.5)
+
+
 def test_hamiltonian_preserved_along_rays():
     model = gaussian_z_model()
     x0, k0 = initial_rays(model, XS, 8)

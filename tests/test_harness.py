@@ -76,6 +76,15 @@ def test_convergence_report_shape():
     assert rep.order_enorm is None  # exact norm at all h
 
 
+def test_convergence_sweeps_each_step_size_once():
+    # rows of a repeated finest h would fill the fit's window of the finest
+    # ASYMPTOTIC_FIT_POINTS rows with one step size and leave no order
+    rep = run_convergence("stvdrk3", vortex_problem(), H4 + [H4[-1]] * 2)
+    assert rep == run_convergence("stvdrk3", vortex_problem(), H4)
+    assert [r.h for r in rep.rows] == H4
+    assert rep.order_e2 == pytest.approx(3.0, abs=0.3)
+
+
 # Endpoint of the default vortex4 problem from STVDRK3 at h = 2e-5 (64 000
 # steps), the reference the harness used before the sixth-order one; its own
 # error is ~4e-13.
@@ -235,6 +244,15 @@ def test_stability_rejects_negative_step_count(n_steps):
 def test_stability_rejects_non_finite_start(q0, n_steps):
     with pytest.raises(NonFiniteStateError):
         run_stability("sfe", 0.1, n_steps, q0)
+
+
+@pytest.mark.parametrize("n_steps", [0, 5])
+@pytest.mark.parametrize("q0", [(2.0, 0.0, 0.0), (0.0, 0.0, 1.1), (0.0, 1.0 - 1e-11, 0.0)])
+def test_stability_rejects_a_start_off_the_sphere(q0, n_steps):
+    # the error names the start point, not the stage arc or the velocity's
+    # normal part that the first step would report
+    with pytest.raises(ValueError, match="off the unit sphere"):
+        run_stability("stvdrk3", 0.1, n_steps, q0)
 
 
 def test_appendix_a_report():

@@ -22,13 +22,9 @@ from sphererk.integrators import (
     projected_mean,
     sfe_step,
     snapshot_steps,
-    ssprk104_frechet_step,
-    ssprk104_step,
-    ssprk54_step,
     stepper_for,
     stvdrk2_step,
     stvdrk3_step,
-    stvdrk4_step,
 )
 from sphererk.pharmonic import PFlowParams, default_dt, initial_discontinuous_curve, pflow_evolve
 
@@ -69,9 +65,15 @@ def test_ssprk54_rotation_coefficient_floor():
     # at t + (1 - 8.8e-11) h on the one flow the scheme should reproduce exactly.
     f = rigid_rotation_field(OMEGA)
     h = 0.3
-    q = ssprk54_step(f, EQUATOR_P, 0.0, h)
+    q = STEPPERS[SchemeId.SSSPRK54](f, EQUATOR_P, 0.0, h)
     err = vec.norm(vec.sub(q, rotate_about(OMEGA, EQUATOR_P, h)))
     assert err / h == pytest.approx(8.77762e-11, rel=1e-4)
+
+
+def _candidate_param(step_id, scheme, *values):
+    """A parameter set ending in ``scheme``'s stepper, a partial, which has no
+    __name__: its id is ``step_id`` + "_step", as the other steppers' ids are their names."""
+    return pytest.param(*values, STEPPERS[scheme], id=f"{step_id}_step")
 
 
 def _one_step_reference(f, p, t, h):
@@ -332,8 +334,7 @@ def _shu_osher_fold(alpha, beta, f, p, t, h):
         (([[1.0], [0.5, 0.5]], [[1.0], [0.0, 0.5]]), stvdrk2_step),
         (([[1.0], [0.75, 0.25], [1.0 / 3.0, 0.0, 2.0 / 3.0]],
           [[1.0], [0.0, 0.25], [0.0, 0.0, 2.0 / 3.0]]), stvdrk3_step),
-        # a partial has no __name__, so its id is written out
-        pytest.param(_ssprk104_tableau(), ssprk104_step, id="tableau2-ssprk104_step"),
+        _candidate_param("tableau2-ssprk104", SchemeId.SSSPRK104, _ssprk104_tableau()),
     ],
 )
 def test_generic_ssp_step_matches_hardcoded(tableau, step):
@@ -542,21 +543,15 @@ def test_scalar_guards_raise_non_finite_state(bad):
 # rotation about e3 at rate 1 + t: a time-dependent field
 SPUN_UP = VelocityField(lambda p, t: vec.cross((0.0, 0.0, 1.0 + t), p), name="spun-up")
 
-CANDIDATES = {
-    "stvdrk4": stvdrk4_step,
-    "sssprk54": ssprk54_step,
-    "sssprk104": ssprk104_step,
-    "sssprk104-frechet": ssprk104_frechet_step,
-}
+CANDIDATES = {s.value: STEPPERS[s] for s in STAGE_TABLES}
 
 
 @pytest.mark.parametrize(
     "step",
     [sfe_step, stvdrk2_step, stvdrk3_step]
-    # a partial has no __name__, so the candidates' ids are written out
-    + [pytest.param(step, id=f"{step_id}_step") for step_id, step in
-       [("stvdrk4", stvdrk4_step), ("ssprk54", ssprk54_step), ("ssprk104", ssprk104_step),
-        ("ssprk104_frechet", ssprk104_frechet_step)]]
+    + [_candidate_param(step_id, scheme) for step_id, scheme in
+       [("stvdrk4", SchemeId.STVDRK4), ("ssprk54", SchemeId.SSSPRK54), ("ssprk104", SchemeId.SSSPRK104),
+        ("ssprk104_frechet", SchemeId.SSSPRK104_FRECHET)]]
     # baseline ids "_" + name stay the same whatever object builds the stepper
     + [pytest.param(step, id=f"_{b.value}") for b, step in BASELINE_STEPPERS.items()],
 )
