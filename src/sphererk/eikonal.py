@@ -49,8 +49,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .batch import check_arc, exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows
-from .errors import DegenerateFrontError
+from .batch import check_arc, exp_rows, normalize_rows, row_dot, row_norm, slerp_rows
 from .geometry import HALF_PI, UnitVector3, check_on_sphere
 from .integrators import integrate_steps, snapshot_steps, tvdrk_step
 
@@ -61,17 +60,12 @@ Y31_AMPLITUDE = -0.125 * math.sqrt(21.0 / math.pi)
 class VelocityModel:
     """Wave velocity v(x) > 0 with its analytic ambient gradient."""
 
-    name: str
     v: Callable[[np.ndarray], np.ndarray]
     grad_v: Callable[[np.ndarray], np.ndarray]
 
 
 def constant_model() -> VelocityModel:
-    return VelocityModel(
-        "const",
-        v=lambda x: np.ones(x.shape[:-1]),
-        grad_v=lambda x: np.zeros_like(x),
-    )
+    return VelocityModel(v=lambda x: np.ones(x.shape[:-1]), grad_v=lambda x: np.zeros_like(x))
 
 
 def gaussian_z_model() -> VelocityModel:
@@ -85,7 +79,7 @@ def gaussian_z_model() -> VelocityModel:
         out[..., 2] = -2.0 * x[..., 2] * np.exp(-x[..., 2] ** 2)
         return out
 
-    return VelocityModel("expz2", v, grad_v)
+    return VelocityModel(v, grad_v)
 
 
 def y31_model() -> VelocityModel:
@@ -117,7 +111,7 @@ def y31_model() -> VelocityModel:
         out *= Y31_AMPLITUDE
         return out
 
-    return VelocityModel("y31", v, grad_v)
+    return VelocityModel(v, grad_v)
 
 
 MODELS = {
@@ -320,25 +314,6 @@ def trace_wavefront(
         # a block reports its own first failure (a stage arc is its maximum): raise what one block reports
         march(slice(None))
     return [Wavefront(t=i * h, x=front_x[i], k=front_k[i]) for i in snaps]
-
-
-def wavefront_E2(front: Wavefront, xs: UnitVector3) -> float:
-    """Arc-length weighted L2 deviation of the front from the exact circle.
-
-    For unit velocity the exact wavefront at the front's time t is the circle
-    of geodesic radius t about the source xs; the error integrand
-    (t - d(x, xs))^2 is integrated over the closed ray polyline by the
-    trapezoidal rule with geodesic segment lengths.
-    """
-    x = front.x
-    xs_arr = np.asarray(xs, dtype=float)
-    g = (front.t - row_angle(x, xs_arr)) ** 2
-    seg = row_angle(x, np.roll(x, -1, axis=0))
-    total = float(np.sum(seg))
-    if total < 1e-12:
-        raise DegenerateFrontError("wavefront polyline has zero length")
-    integral = float(np.sum(seg * 0.5 * (g + np.roll(g, -1))))
-    return math.sqrt(integral)
 
 
 # Rows per slice of the CSV writer.  A slice is converted to Python floats at

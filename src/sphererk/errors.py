@@ -29,10 +29,6 @@ class NearPoleError(SphereRKError, ValueError):
     """Velocity field evaluated too close to a vortex center."""
 
 
-class DegenerateFrontError(SphereRKError, ValueError):
-    """Wavefront polyline has (numerically) zero total length."""
-
-
 class NonPositiveError(SphereRKError, ValueError):
     """Order fitting received non-positive error values."""
 

@@ -13,7 +13,7 @@ from typing import Callable, Tuple
 
 from . import vec
 from .errors import NearPoleError
-from .geometry import UnitVector3, project
+from .geometry import UnitVector3, check_on_sphere, project
 from .vec import Vec3
 
 Matrix3 = Tuple[Vec3, Vec3, Vec3]
@@ -57,8 +57,11 @@ def vortex4_field(centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS) -> Velocit
     """Point-vortex interaction field sum_i (x_i x p) / (2 (1 - x_i . p)).
 
     Raises NearPoleError when evaluated within 1e-12 of a vortex center,
-    where the denominator degenerates.
+    where the denominator degenerates; ``check_on_sphere`` checks each
+    center when the field is built.
     """
+    for c in centers:
+        check_on_sphere(c, "vortex center")
     # Plain tuples: CPython's fast unpacking path takes exact tuples only.
     unpacked = tuple((c[0], c[1], c[2]) for c in centers)
 

@@ -31,7 +31,7 @@ from .fields import (
 )
 # slerp is not called here: perfbench/tracer.py patches it as a harness attribute
 from .geometry import UNIT_NORM_TOL, UnitVector3, check_on_sphere, project, slerp  # noqa: F401
-from .integrators import SchemeId, grid_steps, integrate_steps, stepper_for
+from .integrators import SchemeId, integrate_steps, stepper_for
 from .vec import Vec3
 
 AnyScheme = Union[SchemeId, BaselineId]
@@ -94,8 +94,6 @@ def rotation_problem() -> Problem:
 
 
 def resolve_scheme(name: Union[str, AnyScheme]) -> AnyScheme:
-    if isinstance(name, (SchemeId, BaselineId)):
-        return name
     try:
         return SchemeId(name)
     except ValueError:
@@ -217,13 +215,15 @@ def run_convergence(
 
     Each distinct h of ``h_list`` is run once, coarsest first.
     ``order_enorm`` is None when every norm error sits at the round-off floor
-    (the projected and SLERP-based schemes, reported as exact).  Raises
+    (the projected and SLERP-based schemes, reported as exact).
+    ``check_on_sphere`` checks the start point before any step.  Raises
     ReferenceUnavailableError when the reference's error estimate is above
     round-off and above 1/100 of the smallest E2 error entering the fit.
     """
     scheme = resolve_scheme(scheme)
     step = scheme_stepper(scheme)
     hs = sorted(set(h_list), reverse=True)
+    check_on_sphere(problem.p0, "convergence start point")
     ref = reference_endpoint(problem)
     rows = []
     for h in hs:
@@ -396,22 +396,21 @@ def verify_appendix_b() -> AppendixBReport:
     """Measure global orders of the angle recurrences and the PTVDRK3' defect.
 
     On the great-circle model theta' = theta the internal-projection schemes
-    reduce to scalar multiplications; iterating them to T = 1 against e^T
-    yields global orders 1 (PFE) and 2 (both primed TVDRK schemes).  The
-    PTVDRK3' third-order coefficient is -1/6 against the exact +1/6, a
-    leading defect of -1/3.
+    reduce to scalar multiplications; stepping them through
+    ``integrate_steps`` to T = 1 against e^T yields global orders 1 (PFE)
+    and 2 (both primed TVDRK schemes).  The PTVDRK3' third-order coefficient
+    is -1/6 against the exact +1/6, a leading defect of -1/3.
     """
     schemes = (BaselineId.PFE, BaselineId.PTVDRK2P, BaselineId.PTVDRK3P)
     t_final = 1.0
     exact = math.exp(t_final)
     orders: Dict[str, float] = {}
     for scheme in schemes:
+        step = lambda _f, th, _t, k: angle_recurrence(scheme, th, k)  # noqa: E731
         rows = []
         for h in DEFAULT_H_LIST:
-            n, _ = grid_steps(h, t_final)
-            theta = 1.0
-            for _ in range(n):
-                theta = angle_recurrence(scheme, theta, h)
+            for _, theta in integrate_steps(step, None, 1.0, 0.0, t_final, h):
+                pass
             rows.append((h, abs(theta - exact)))
         orders[scheme.value] = fit_order(rows, floor=0.0, cap=math.inf)
 

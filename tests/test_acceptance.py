@@ -18,6 +18,7 @@ from sphererk.baselines import BaselineId, baseline_stepper
 from sphererk.fields import rigid_rotation_field, stability_interval
 from sphererk.geometry import ANTIPODAL_LIMIT, geodesic_distance, slerp
 from sphererk.integrators import SchemeId, integrate_steps, stepper_for
+from wavefront_error import wavefront_E2
 
 XS = (1.0, 0.0, 0.0)
 
@@ -53,7 +54,7 @@ def eikonal_sweep():
         for n in (20, 40, 80, 160, 320):
             h = tf / n
             front = eikonal.trace_wavefront(model, XS, 512, h, tf, scheme=scheme)[-1]
-            rows.append((h, eikonal.wavefront_E2(front, XS)))
+            rows.append((h, wavefront_E2(front, XS)))
         errors[scheme] = rows
     return errors, time.perf_counter() - t0
 

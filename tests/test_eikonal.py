@@ -26,13 +26,13 @@ from sphererk.eikonal import (
     initial_rays,
     scheme_for_order,
     trace_wavefront,
-    wavefront_E2,
     write_wavefronts_csv,
     y31_model,
 )
-from sphererk.errors import DegenerateFrontError, NonFiniteStateError, StepTooLargeError
-from sphererk.geometry import exp_raw, geodesic_distance, slerp
+from sphererk.errors import NonFiniteStateError, StepTooLargeError
+from sphererk.geometry import exp_raw, geodesic_distance, project, slerp
 from sphererk.integrators import integrate_steps
+from wavefront_error import DegenerateFrontError, wavefront_E2
 
 XS = (1.0, 0.0, 0.0)
 
@@ -220,6 +220,25 @@ def test_single_ray_step():
     assert geodesic_distance(x[0], XS) == pytest.approx(0.05, abs=1e-6)
 
 
+@pytest.mark.parametrize("xs", [(0.3, -0.8, 0.5), (-0.6, 0.2, 0.77), (0.1, 0.97, 0.2)])
+def test_initial_rays_from_a_source_in_general_position(xs):
+    # the last source has |xs . e2| > 0.9, so its frame starts from e3
+    xs = project(xs)
+    model = y31_model()
+    n = 16
+    x0, k0 = initial_rays(model, xs, n)
+    xs_arr = np.asarray(xs)
+    assert np.array_equal(x0, np.tile(xs_arr, (n, 1)))
+    assert np.max(np.abs(k0 @ xs_arr)) <= 1e-15
+    assert np.max(np.abs(hamiltonian(model, x0, k0))) <= 1e-14
+    dirs = k0 * float(model.v(xs_arr[None, :])[0])
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(dirs @ xs_arr)) <= 1e-15
+    turns = np.arctan2(np.linalg.norm(np.cross(dirs, np.roll(dirs, -1, axis=0)), axis=1),
+                       np.sum(dirs * np.roll(dirs, -1, axis=0), axis=1))
+    assert np.max(np.abs(turns - 2.0 * math.pi / n)) <= 1e-14
+
+
 def test_wavefront_E2_exact_circle_is_zero():
     n = 128
     ang = 2 * math.pi * np.arange(n) / n
@@ -304,7 +323,7 @@ def test_non_finite_velocity_raises_non_finite_state(scheme):
         out[x[..., 2] > 0.0] = math.nan
         return out
 
-    model = VelocityModel("nan-north", v=v, grad_v=lambda x: np.zeros_like(x))
+    model = VelocityModel(v=v, grad_v=lambda x: np.zeros_like(x))  # NaN north of the equator
     with pytest.raises(NonFiniteStateError):
         trace_wavefront(model, XS, 8, 0.1, 1.0, scheme=scheme)
 
@@ -497,7 +516,7 @@ def _blockwise_failing_model(nan_from, fast_from):
         out[(dist > nan_from) & (az < 0.0) & (az > -1.05e-3)] = math.nan
         return out
 
-    return VelocityModel("blockwise", v=v, grad_v=lambda x: np.zeros_like(x))
+    return VelocityModel(v=v, grad_v=lambda x: np.zeros_like(x))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

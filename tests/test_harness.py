@@ -6,23 +6,29 @@ import pytest
 
 from conftest import last_state, rotate_about
 from sphererk import harness, vec
-from sphererk.baselines import rk6_step
+from sphererk.baselines import BaselineId, rk6_step
 from sphererk.errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError
 from sphererk.fields import VORTEX4_CENTERS, VortexConfig
-from sphererk.geometry import project
-from sphererk.integrators import integrate_steps
+from sphererk.geometry import UNIT_NORM_TOL, project
+from sphererk.integrators import SchemeId, integrate_steps
 from sphererk.harness import (
+    EXPECTED_E2_ORDER,
+    EXPECTED_ENORM_ORDER,
     REFERENCE_H,
     AppendixAReport,
+    ConvergenceReport,
+    ConvergenceRow,
     appendix_a_coefficients,
     fit_order,
     reference_endpoint,
+    resolve_scheme,
     rotation_problem,
     run_convergence,
     run_stability,
     tvdrk2_planar_norm,
     verify_appendix_a,
     verify_appendix_b,
+    verify_table2,
     vortex_problem,
     write_convergence_csv,
     write_orders_json,
@@ -276,13 +282,31 @@ def test_appendix_a_closed_forms():
     assert tvdrk2_planar_norm(1.0, 1.0, h) - 1.0 == pytest.approx(c4 * h**4, rel=1e-3)
 
 
+@pytest.mark.parametrize("h", [1e-2, 5e-3])
+def test_appendix_a_closed_forms_at_unequal_speeds(h):
+    # a != 1 tells a*x from x/a, and at b - a = 0.6 the (a - b)^4 term is
+    # large enough that its sign shows: flipping it misses by 2e-11 at h = 1e-2
+    c2, c4, c4_printed = appendix_a_coefficients(0.7, 1.3)
+    residual = tvdrk2_planar_norm(0.7, 1.3, h) - (1.0 + c2 * h**2 + c4 * h**4)
+    assert abs(residual) <= 10.0 * h**6
+    # the printed form differs only in the sign of its 16 a^3 b / 128 term
+    assert c4 - c4_printed == pytest.approx(0.7**3 * 1.3 / 4.0, rel=1e-12)
+
+
 def test_appendix_b_report():
     rep = verify_appendix_b()
     assert rep.passed
     assert rep.orders["pfe"] == pytest.approx(1.0, abs=0.1)
     assert rep.orders["ptvdrk2p"] == pytest.approx(2.0, abs=0.1)
     assert rep.orders["ptvdrk3p"] == pytest.approx(2.0, abs=0.1)
-    assert rep.ptvdrk3p_h3_coefficient == pytest.approx(-1.0 / 3.0, rel=0.05)
+    # 1.4e-6 off with the Richardson partner c3(h0 / 2); 1.1e-2 off with c3(2 h0)
+    assert rep.ptvdrk3p_h3_coefficient == pytest.approx(-1.0 / 3.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("member", [SchemeId.STVDRK3, BaselineId.PFE, BaselineId.FE])
+def test_resolve_scheme_returns_a_member_itself(member):
+    assert resolve_scheme(member) is member
+    assert resolve_scheme(member.value) is member
 
 
 def test_resolve_unknown_scheme():
@@ -298,3 +322,85 @@ def test_reference_failure_is_wrapped():
     bad = Problem(vortex4_field(), VORTEX4_CENTERS[0], 1.0)
     with pytest.raises(ReferenceUnavailableError):
         reference_endpoint(bad)
+
+
+@pytest.mark.parametrize("p0", [(1.5, 0.0, 0.0), (0.0, 0.0, 0.9)])
+@pytest.mark.parametrize("scheme", ["rk4", "stvdrk3"])
+def test_convergence_rejects_a_start_off_the_sphere(p0, scheme):
+    # the error names the start point: rk4 used to fit nothing, stvdrk3 to
+    # report a vortex center at a negative distance
+    with pytest.raises(ValueError, match="start point .* off the unit sphere"):
+        run_convergence(scheme, vortex_problem(VortexConfig(p0=p0)), H4)
+
+
+def test_convergence_rejects_a_non_finite_start():
+    with pytest.raises(NonFiniteStateError, match="start point"):
+        run_convergence("rk4", vortex_problem(VortexConfig(p0=(math.nan, 0.0, 0.0))), H4)
+
+
+def test_convergence_rejects_a_vortex_center_off_the_sphere():
+    centers = ((0.0, 0.0, 2.0),) + VORTEX4_CENTERS[1:]
+    with pytest.raises(ValueError, match="vortex center .* off the unit sphere"):
+        run_convergence("stvdrk3", vortex_problem(VortexConfig(centers=centers)), H4)
+
+
+def _fake_table2_run(monkeypatch, e2=None, enorm=None, row_enorm=None):
+    """Make verify_table2 grade made-up reports: every scheme's orders are
+    their expected values, and its norm errors 1e-16 (on the sphere) or 1e-6,
+    except for the overrides keyed by scheme name."""
+    e2, enorm, row_enorm = e2 or {}, enorm or {}, row_enorm or {}
+
+    def fake(name, problem, h_list=harness.DEFAULT_H_LIST):
+        on_sphere = harness.stays_on_sphere(resolve_scheme(name))
+        norm_errors = row_enorm.get(name, [1e-16 if on_sphere else 1e-6] * len(h_list))
+        rows = tuple(ConvergenceRow(h, 1e-3, en) for h, en in zip(h_list, norm_errors))
+        return ConvergenceReport(
+            name,
+            rows,
+            e2.get(name, EXPECTED_E2_ORDER[name]),
+            enorm.get(name, EXPECTED_ENORM_ORDER.get(name)),
+            1e-14,
+        )
+
+    monkeypatch.setattr(harness, "run_convergence", fake)
+
+
+def test_table2_verdict_on_expected_orders(monkeypatch):
+    _fake_table2_run(monkeypatch)
+    rep = verify_table2()
+    assert (rep.order_failures, rep.enorm_failures, rep.passed) == ((), (), True)
+
+
+def test_table2_verdict_on_failing_orders(monkeypatch):
+    _fake_table2_run(
+        monkeypatch,
+        e2={"rk3": EXPECTED_E2_ORDER["rk3"] - 0.3, "prk3": None},
+        enorm={"tvdrk3": EXPECTED_ENORM_ORDER["tvdrk3"] + 0.4, "rk4": None},
+    )
+    rep = verify_table2()
+    assert rep.order_failures == ("rk3", "prk3")
+    assert rep.enorm_failures == ("tvdrk3", "rk4")
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("name", ["stvdrk2", "ptvdrk2"])
+def test_table2_verdict_on_an_on_sphere_norm_error(monkeypatch, name):
+    norm_errors = [1e-16] * 5 + [2.0 * UNIT_NORM_TOL]
+    _fake_table2_run(monkeypatch, row_enorm={name: norm_errors})
+    rep = verify_table2()
+    assert (rep.order_failures, rep.enorm_failures, rep.passed) == ((), (name,), False)
+
+
+def test_table2_verdict_on_an_order_failure_alone(monkeypatch):
+    _fake_table2_run(monkeypatch, e2={"sfe": EXPECTED_E2_ORDER["sfe"] + 0.3})
+    rep = verify_table2()
+    assert (rep.order_failures, rep.enorm_failures, rep.passed) == (("sfe",), (), False)
+
+
+def test_verify_table2_cli_prints_a_norm_error_failure(monkeypatch, capsys):
+    from sphererk.cli import main
+
+    _fake_table2_run(monkeypatch, row_enorm={"stvdrk3": [2.0 * UNIT_NORM_TOL] * 6})
+    assert main(["verify", "--target", "table2"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["norm-error failures: stvdrk3", "FAIL"]

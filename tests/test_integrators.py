@@ -464,7 +464,7 @@ def test_row_flows_report_the_failing_step():
         out[x[..., 0] < math.cos(0.25)] = math.nan
         return out
 
-    model = VelocityModel("nan-cap", v=v, grad_v=lambda x: np.zeros_like(x))
+    model = VelocityModel(v=v, grad_v=lambda x: np.zeros_like(x))
     with pytest.raises(NonFiniteStateError, match=r"^step 2 at t=0\.2: ray stage velocity"):
         trace_wavefront(model, (1.0, 0.0, 0.0), 8, 0.1, 0.5)
     # ten times the default step: the seams' arcs pass pi/2 in step 1

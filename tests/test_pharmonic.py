@@ -46,10 +46,42 @@ def wobbly_curve(n=64, seed=5):
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
-        DirectorCurve(np.ones((3, 3)))
+    assert great_circle_curve(4).n_nodes == 4
+    for bad in (np.ones((3, 3)), great_circle_curve(8).m[:3], np.ones((8, 2)) / math.sqrt(2.0),
+                np.array([1.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match=r"needs an \(N, 3\) array"):
+            DirectorCurve(bad)
     with pytest.raises(ValueError):
         DirectorCurve(2.0 * np.tile(np.array([1.0, 0.0, 0.0]), (8, 1)))
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_pflow_rejects_orders_other_than_2_and_3(order):
+    params = PFlowParams(p=2.0, dt=1e-4, t_final=1e-3)
+    with pytest.raises(ValueError, match="order must be 2 or 3"):
+        pflow_evolve(constant_curve(), params, order=order)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("n", [8, 64])
+def test_p_energy_of_a_great_circle(p, n):
+    # every difference quotient of the N-gon has length 2 N sin(pi / N)
+    want = (2.0 * n * math.sin(math.pi / n)) ** p / p
+    assert p_energy(great_circle_curve(n), p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_snapshot_times_are_whole_steps(tmp_path):
+    from sphererk.cli import main
+
+    dt = 1e-4
+    params = PFlowParams(p=2.0, dt=dt, t_final=1e-3)
+    snaps = pflow_evolve(wobbly_curve(16), params, snapshot_times=[0.0, 3e-4, 1e-3])
+    assert [t for t, _ in snaps] == [0 * dt, 3 * dt, 10 * dt]
+    out = tmp_path / "flow.csv"
+    assert main(["pharmonic", "--p", "2", "--nodes", "16", "--dt", "1e-4", "--t-final", "1e-3",
+                 "--snapshots", "0,3e-4,1e-3", "--out", str(out)]) == 0
+    t_column = read_csv_floats(out)[:, 0]
+    assert sorted(set(t_column)) == [0 * dt, 3 * dt, 10 * dt]
 
 
 def test_constant_curve_is_steady():
