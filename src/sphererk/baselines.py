@@ -4,10 +4,11 @@ These are the comparison schemes: Cartesian steppers that either ignore the
 sphere constraint (FE, RK2-4, TVDRK2-3), radially project the final stage
 (PFE, PRK2-4, PTVDRK2, PTVDRK3), or project every intermediate stage (the
 primed internal-projection variants PTVDRK2', PTVDRK3').  Each table entry
-is one of three constructions: ``_butcher_step`` on a tableau (c, A, b) for
-RK2-4, ``integrators.tvdrk_step`` over forward Euler and linear
+is one of three constructions: ``_butcher_step`` on a Butcher tableau for
+RK2-4, listed as its rows A and weights b with the stage times c derived from
+the rows; ``integrators.tvdrk_step`` over forward Euler and linear
 interpolation for the TVDRK family (their projected forms for the primed
-variants), or ``_projected`` of another entry.  The table is declared as an
+variants); or ``_projected`` of another entry.  The table is declared as an
 unprojected and a projected half, and ``ON_SPHERE`` is the projected half.
 
 The velocity field is always evaluated through the closest-point extension
@@ -24,15 +25,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import partial
-from typing import Callable, Dict
+from typing import Dict
 
 from . import vec
 from .fields import VelocityField
 from .geometry import project
-from .integrators import tvdrk_step
+from .integrators import Stepper, tvdrk_step
 from .vec import Vec3
-
-BaselineStepper = Callable[[VelocityField, Vec3, float, float], Vec3]
 
 
 class BaselineId(str, Enum):
@@ -76,18 +75,18 @@ def _plerp(a, b, w):
     return project(_lerp(a, b, w))
 
 
-# Butcher tableaux (c, A, b): stage times c_i, lower-triangular rows a_ij and
-# weights b_i.  Heun's method, Kutta's third-order method and classical RK4:
-RK2_TABLEAU = ((0.0, 1.0), ((), (1.0,)), (0.5, 0.5))
-RK3_TABLEAU = ((0.0, 0.5, 1.0), ((), (0.5,), (-1.0, 2.0)), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
-RK4_TABLEAU = (
-    (0.0, 0.5, 0.5, 1.0),
-    ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
-    (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0),
-)
+def _tableau(rows, weights):
+    """Tableau (c, A, b) of rows a_ij and weights b_i, with stage times c_i = sum_j a_ij."""
+    return tuple(sum(row, 0.0) for row in rows), rows, weights
+
+
+# Heun's method, Kutta's third-order method and classical RK4:
+RK2_TABLEAU = _tableau(((), (1.0,)), (0.5, 0.5))
+RK3_TABLEAU = _tableau(((), (0.5,), (-1.0, 2.0)), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0))
+RK4_TABLEAU = _tableau(((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+                       (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
 
 # Butcher's seven-stage sixth-order method (J. Austral. Math. Soc. 4, 1964).
-RK6_C = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 0.5, 0.5, 1.0)
 RK6_A = (
     (),
     (1.0 / 3.0,),
@@ -98,7 +97,7 @@ RK6_A = (
     (9.0 / 44.0, -9.0 / 11.0, 63.0 / 44.0, 18.0 / 11.0, 0.0, -16.0 / 11.0),
 )
 RK6_B = (11.0 / 120.0, 0.0, 27.0 / 40.0, 27.0 / 40.0, -4.0 / 15.0, -4.0 / 15.0, 11.0 / 120.0)
-RK6_TABLEAU = (RK6_C, RK6_A, RK6_B)
+RK6_TABLEAU = _tableau(RK6_A, RK6_B)
 
 
 def _butcher_step(tableau, f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
@@ -127,14 +126,14 @@ def rk6_step(f: VelocityField, x: Vec3, t: float, h: float) -> Vec3:
     return _butcher_step(RK6_TABLEAU, f, x, t, h)
 
 
-def _projected(step: BaselineStepper) -> BaselineStepper:
+def _projected(step: Stepper) -> Stepper:
     """``step`` with its output radially projected to the sphere."""
     return lambda f, x, t, h: project(step(f, x, t, h))
 
 
 # No entry binds ``project``: it is looked up when a step runs, so replacing
 # ``baselines.project`` (as perfbench's tracer does) reaches every projection.
-_UNPROJECTED: Dict[BaselineId, BaselineStepper] = {
+_UNPROJECTED: Dict[BaselineId, Stepper] = {
     BaselineId.FE: _fe,
     BaselineId.RK2: partial(_butcher_step, RK2_TABLEAU),
     BaselineId.RK3: partial(_butcher_step, RK3_TABLEAU),
@@ -142,7 +141,7 @@ _UNPROJECTED: Dict[BaselineId, BaselineStepper] = {
     BaselineId.TVDRK2: partial(tvdrk_step, 2, _fe, _lerp),
     BaselineId.TVDRK3: partial(tvdrk_step, 3, _fe, _lerp),
 }
-_PROJECTED: Dict[BaselineId, BaselineStepper] = {
+_PROJECTED: Dict[BaselineId, Stepper] = {
     BaselineId.PFE: _pfe,
     BaselineId.PRK2: _projected(_UNPROJECTED[BaselineId.RK2]),
     BaselineId.PRK3: _projected(_UNPROJECTED[BaselineId.RK3]),
@@ -152,14 +151,10 @@ _PROJECTED: Dict[BaselineId, BaselineStepper] = {
     BaselineId.PTVDRK3: _projected(_UNPROJECTED[BaselineId.TVDRK3]),
     BaselineId.PTVDRK3P: partial(tvdrk_step, 3, _pfe, _plerp),
 }
-BASELINE_STEPPERS: Dict[BaselineId, BaselineStepper] = {**_UNPROJECTED, **_PROJECTED}
+BASELINE_STEPPERS: Dict[BaselineId, Stepper] = {**_UNPROJECTED, **_PROJECTED}
 
 # Projected variants end every step on the sphere; the rest drift off it.
 ON_SPHERE = frozenset(_PROJECTED)
-
-
-def baseline_stepper(scheme: BaselineId) -> BaselineStepper:
-    return BASELINE_STEPPERS[BaselineId(scheme)]
 
 
 def angle_recurrence(scheme: BaselineId, theta: float, h: float) -> float:

@@ -9,12 +9,12 @@ H(x, k) = (v(x)^2 [|k|^2 - (k . x/|x|)^2] - 1) / 2 form the coupled system
 
 with x on the sphere, k the ray direction grad(u) in R^3, and u the travel
 time (phase).  u' = 1 gives u = t on every ray, so a front stores only t and
-the CSV's u column repeats it.  A coupled scheme is named by one string
-(COUPLED_SCHEMES).  The sphere-intrinsic ones, sfe, stvdrk2 and stvdrk3
-(``scheme_for_order`` maps 1-3 to them), step x with the exp-map/SLERP
-stages while k takes the matching Cartesian TVDRK stages in lock step:
-``integrators.tvdrk_step`` runs on the pair (x, k).  Projected and
-unprojected Cartesian variants of the x-update are there for comparison runs.
+the CSV's u column repeats it.  Each coupled scheme is a ready stepper of the
+pair (x, k) in COUPLED_STEPPERS, built as the baselines are, on
+``integrators.tvdrk_step``.  The sphere-intrinsic ones, sfe, stvdrk2 and
+stvdrk3 (``scheme_for_order`` maps 1-3 to them), step x with exp maps and
+SLERPs while k takes Euler steps and linear interpolation in lock step; the
+Cartesian ones, for comparison runs, come plain and ``_projected``.
 
 Rays are independent: ``trace_wavefront`` cuts the fan into blocks of
 RAY_BLOCK rows, marches each block as (n, 3) arrays through
@@ -191,28 +191,29 @@ def _lerp_pair(a, b, w: float):
     return _lerp(a[0], b[0], w), _lerp(a[1], b[1], w)
 
 
-# Coupled scheme -> (TVDRK order, substep, combination, normalize x at the end).
-# Spherical forward Euler needs no SLERP, so its stage arc may reach pi.
-_COUPLED = {
-    "sfe": (1, partial(_exp_pair, limit=math.pi), None, False),
-    "pfe": (1, _axpy_pair, None, True),
-    "stvdrk2": (2, _exp_pair, _slerp_pair, False),
-    "tvdrk2": (2, _axpy_pair, _lerp_pair, False),
-    "ptvdrk2": (2, _axpy_pair, _lerp_pair, True),
-    "stvdrk3": (3, _exp_pair, _slerp_pair, False),
-    "tvdrk3": (3, _axpy_pair, _lerp_pair, False),
-    "ptvdrk3": (3, _axpy_pair, _lerp_pair, True),
+def _projected(step):
+    """``step`` with its x rows normalized to the sphere at the end."""
+
+    def projected(model: VelocityModel, y, t: float, h: float):
+        x, k = step(model, y, t, h)
+        return normalize_rows(x), k
+
+    return projected
+
+
+# Coupled scheme -> its step of the rays (x, k).  Spherical forward Euler
+# needs no SLERP, so its stage arc may reach pi.
+COUPLED_STEPPERS = {
+    "sfe": partial(_exp_pair, limit=math.pi),
+    "pfe": _projected(_axpy_pair),
+    "stvdrk2": partial(tvdrk_step, 2, _exp_pair, _slerp_pair),
+    "tvdrk2": partial(tvdrk_step, 2, _axpy_pair, _lerp_pair),
+    "ptvdrk2": _projected(partial(tvdrk_step, 2, _axpy_pair, _lerp_pair)),
+    "stvdrk3": partial(tvdrk_step, 3, _exp_pair, _slerp_pair),
+    "tvdrk3": partial(tvdrk_step, 3, _axpy_pair, _lerp_pair),
+    "ptvdrk3": _projected(partial(tvdrk_step, 3, _axpy_pair, _lerp_pair)),
 }
-
-
-def _step_rows(scheme: str, model: VelocityModel, y, t: float, h: float):
-    """Advance the rays y = (x, k) by one step of the requested coupled scheme."""
-    order, euler, combine, normalize = _COUPLED[scheme]
-    x, k = tvdrk_step(order, euler, combine, model, y, t, h)
-    return (normalize_rows(x) if normalize else x), k
-
-
-COUPLED_SCHEMES = tuple(_COUPLED)
+COUPLED_SCHEMES = tuple(COUPLED_STEPPERS)
 
 _ORDER_TO_SCHEME = {1: "sfe", 2: "stvdrk2", 3: "stvdrk3"}
 
@@ -278,14 +279,14 @@ def trace_wavefront(
     RAY_BLOCK rows on up to one thread per usable CPU, so the model's ``v``
     and ``grad_v`` may run on several threads at once.
     """
-    if scheme not in COUPLED_SCHEMES:
+    if scheme not in COUPLED_STEPPERS:
         raise ValueError(f"unknown coupled scheme {scheme!r}")
+    step = COUPLED_STEPPERS[scheme]
     snaps = sorted(snapshot_steps(h, t_final, snapshot_times))
     x0, k0 = initial_rays(model, xs, n_rays)
     # row-major fronts: the march's column-major layout stays inside it
     front_x = {i: np.empty(x0.shape) for i in snaps}
     front_k = {i: np.empty(k0.shape) for i in snaps}
-    step = partial(_step_rows, scheme)
 
     def march(rows: slice) -> None:
         steps = integrate_steps(step, model, (x0[rows], k0[rows]), 0.0, t_final, h)

@@ -30,7 +30,7 @@ class NearPoleError(SphereRKError, ValueError):
 
 
 class NonPositiveError(SphereRKError, ValueError):
-    """Order fitting received non-positive error values."""
+    """Order fitting received negative error values (zero ones count as round-off)."""
 
 
 class ReferenceUnavailableError(SphereRKError, RuntimeError):

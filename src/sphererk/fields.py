@@ -81,7 +81,7 @@ def vortex4_field(centers: Tuple[UnitVector3, ...] = VORTEX4_CENTERS) -> Velocit
         k = -(px * ox + py * oy + pz * oz)
         return (k * px + ox, k * py + oy, k * pz + oz)
 
-    return VelocityField(raw, name="vortex4", params=tuple(centers))
+    return VelocityField(raw, name="vortex4", params=unpacked)
 
 
 def rigid_rotation_field(omega: Vec3) -> VelocityField:

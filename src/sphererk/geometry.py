@@ -39,7 +39,7 @@ def project(v: Vec3) -> UnitVector3:
     Raises
     ------
     ZeroVectorError
-        If |v| is numerically zero (below 1e-300).
+        If |v| is numerically zero: its squares underflow to a norm below 1e-300.
     NonFiniteStateError
         If |v| is NaN or infinite.
     """

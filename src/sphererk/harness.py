@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import vec
-from .baselines import ON_SPHERE, BaselineId, angle_recurrence, baseline_stepper, rk6_step
+from .baselines import BASELINE_STEPPERS, ON_SPHERE, BaselineId, angle_recurrence, rk6_step
 from .errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError, SphereRKError
 from .fields import (
     STABILITY_MATRIX,
@@ -31,7 +31,7 @@ from .fields import (
 )
 # slerp is not called here: perfbench/tracer.py patches it as a harness attribute
 from .geometry import UNIT_NORM_TOL, UnitVector3, check_on_sphere, project, slerp  # noqa: F401
-from .integrators import SchemeId, integrate_steps, stepper_for
+from .integrators import STEPPERS, SchemeId, integrate_steps
 from .vec import Vec3
 
 AnyScheme = Union[SchemeId, BaselineId]
@@ -101,9 +101,10 @@ def resolve_scheme(name: Union[str, AnyScheme]) -> AnyScheme:
 
 
 def scheme_stepper(scheme: AnyScheme):
+    """The table entry of a resolved scheme, looked up when a run starts."""
     if isinstance(scheme, SchemeId):
-        return stepper_for(scheme)
-    return baseline_stepper(scheme)
+        return STEPPERS[scheme]
+    return BASELINE_STEPPERS[scheme]
 
 
 def stays_on_sphere(scheme: AnyScheme) -> bool:
@@ -125,13 +126,15 @@ def fit_order(rows: Sequence[Tuple[float, float]],
     Rows at the round-off floor (err <= ``floor``) and pre-asymptotic rows
     (err > ``cap``) are excluded before fitting; with ``finest`` set only the
     last ``finest`` usable rows are fitted.  Raises NonFiniteStateError on NaN
-    or infinite error values, NonPositiveError on negative ones, ValueError
-    when the usable rows hold fewer than three distinct step sizes.
+    or infinite error values, NonPositiveError on negative ones, ValueError on
+    a step size not finite and > 0 or fewer than three distinct usable ones.
     """
     if not all(math.isfinite(err) for _, err in rows):
         raise NonFiniteStateError("error values must be finite")
     if any(err < 0.0 for _, err in rows):
-        raise NonPositiveError("error values must be positive")
+        raise NonPositiveError("error values must not be negative")
+    if not all(0.0 < h < math.inf for h, _ in rows):
+        raise ValueError(f"need finite step sizes h > 0, got {[h for h, _ in rows]!r}")
     usable = _usable_rows(rows, floor, cap, finest)
     distinct = len({h for h, _ in usable})
     if distinct < 3:
@@ -195,7 +198,7 @@ def reference_endpoint(problem: Problem) -> Reference:
     the error estimate.  Cached per field parameters (else raw function),
     start point and horizon."""
     f = problem.f
-    key = (f.name, f.params or f.raw, problem.p0, problem.t_final)
+    key = (f.name, f.params or f.raw, tuple(problem.p0), problem.t_final)
     if key not in _reference_cache:
         try:
             fine = project(_endpoint(rk6_step, problem, REFERENCE_H))
@@ -217,12 +220,15 @@ def run_convergence(
     ``order_enorm`` is None when every norm error sits at the round-off floor
     (the projected and SLERP-based schemes, reported as exact).
     ``check_on_sphere`` checks the start point before any step.  Raises
-    ReferenceUnavailableError when the reference's error estimate is above
-    round-off and above 1/100 of the smallest E2 error entering the fit.
+    ValueError on an empty ``h_list``, and ReferenceUnavailableError when the
+    reference's error estimate is above round-off and above 1/100 of the
+    smallest E2 error entering the fit.
     """
     scheme = resolve_scheme(scheme)
     step = scheme_stepper(scheme)
     hs = sorted(set(h_list), reverse=True)
+    if not hs:
+        raise ValueError("need at least one step size")
     check_on_sphere(problem.p0, "convergence start point")
     ref = reference_endpoint(problem)
     rows = []
@@ -240,15 +246,11 @@ def run_convergence(
             f"reference error estimate {ref.error_estimate!r} exceeds 1/100 "
             f"of the smallest fitted error {smallest!r}"
         )
-    if all(r.enorm <= REFERENCE_ROUNDOFF for r in rows):
-        order_enorm = None
-    else:
-        order_enorm = _fit_asymptotic([(r.h, r.enorm) for r in rows])
     return ConvergenceReport(
         scheme=scheme.value,
         rows=tuple(rows),
         order_e2=order_e2,
-        order_enorm=order_enorm,
+        order_enorm=_fit_asymptotic([(r.h, r.enorm) for r in rows]),
         reference_error=ref.error_estimate,
     )
 
@@ -295,10 +297,9 @@ def run_stability(
     sigma*h in the absolute-stability interval.  The run steps through
     ``integrate_steps`` over n_steps * h, so h must be finite and > 0, and
     folds each state into its distance as it arrives: only the distances are
-    kept.  A negative ``n_steps``
-    raises ValueError; whatever ``n_steps``, a start point with a NaN or
-    infinite coordinate raises NonFiniteStateError, and a finite one off the
-    unit sphere ValueError.
+    kept.  A negative ``n_steps`` raises ValueError; whatever ``n_steps``, a
+    start point with a NaN or infinite coordinate raises NonFiniteStateError,
+    and a finite one off the unit sphere ValueError.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps!r}")

@@ -235,10 +235,6 @@ STEPPERS: dict[SchemeId, Stepper] = {
 }
 
 
-def stepper_for(scheme: SchemeId) -> Stepper:
-    return STEPPERS[SchemeId(scheme)]
-
-
 def grid_steps(h: float, span: float) -> Tuple[int, bool]:
     """Steps of ``h`` in ``span``, and whether they fill it to 1e-12 relative.
 

@@ -14,10 +14,9 @@ from sphererk.baselines import (
     RK4_TABLEAU,
     RK6_A,
     RK6_B,
-    RK6_C,
+    RK6_TABLEAU,
     BaselineId,
     angle_recurrence,
-    baseline_stepper,
     rk6_step,
 )
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
@@ -38,18 +37,18 @@ def test_registry_is_complete():
 @pytest.mark.parametrize("scheme", list(BaselineId))
 def test_zero_field_fixes_every_scheme(scheme):
     x = (0.6, 0.0, 0.8)
-    out = baseline_stepper(scheme)(ZERO_FIELD, x, 0.0, 0.1)
+    out = BASELINE_STEPPERS[scheme](ZERO_FIELD, x, 0.0, 0.1)
     assert vec.norm(vec.sub(out, x)) <= 1e-15
 
 
 @pytest.mark.parametrize("scheme", sorted(ON_SPHERE, key=lambda s: s.value))
 def test_projected_schemes_end_on_sphere(scheme):
-    out = baseline_stepper(scheme)(VORTEX, P0, 0.0, 0.1)
+    out = BASELINE_STEPPERS[scheme](VORTEX, P0, 0.0, 0.1)
     assert abs(vec.norm(out) - 1.0) <= 1e-15
 
 
 def test_unprojected_schemes_drift_off_sphere():
-    out = baseline_stepper(BaselineId.FE)(VORTEX, P0, 0.0, 0.1)
+    out = BASELINE_STEPPERS[BaselineId.FE](VORTEX, P0, 0.0, 0.1)
     assert abs(vec.norm(out) - 1.0) > 1e-4
 
 
@@ -57,30 +56,30 @@ def test_pfe_polar_angle_is_arctan():
     f = rigid_rotation_field((1.0, 0.0, 0.0))
     p = (0.0, 0.0, 1.0)
     for h in (0.1, 0.5, 1.0):
-        out = baseline_stepper(BaselineId.PFE)(f, p, 0.0, h)
+        out = BASELINE_STEPPERS[BaselineId.PFE](f, p, 0.0, h)
         assert geodesic_distance(out, p) == pytest.approx(math.atan(h), abs=1e-14)
 
 
 def test_velocity_extension_used_off_sphere():
     # evaluating at 2p must see the same field value as at p
     f = rigid_rotation_field((0.0, 0.0, 1.0))
-    on = baseline_stepper(BaselineId.FE)(f, (1.0, 0.0, 0.0), 0.0, 0.2)
-    off = baseline_stepper(BaselineId.FE)(f, (2.0, 0.0, 0.0), 0.0, 0.2)
+    on = BASELINE_STEPPERS[BaselineId.FE](f, (1.0, 0.0, 0.0), 0.0, 0.2)
+    off = BASELINE_STEPPERS[BaselineId.FE](f, (2.0, 0.0, 0.0), 0.0, 0.2)
     assert vec.norm(vec.sub(off, vec.add(on, (1.0, 0.0, 0.0)))) <= 1e-15
 
 
 def test_ptvdrk2_equals_prk2_stepwise():
     x = P0
     for i in range(20):
-        a = baseline_stepper(BaselineId.PTVDRK2)(VORTEX, x, i * 0.1, 0.1)
-        b = baseline_stepper(BaselineId.PRK2)(VORTEX, x, i * 0.1, 0.1)
+        a = BASELINE_STEPPERS[BaselineId.PTVDRK2](VORTEX, x, i * 0.1, 0.1)
+        b = BASELINE_STEPPERS[BaselineId.PRK2](VORTEX, x, i * 0.1, 0.1)
         assert vec.norm(vec.sub(a, b)) <= 1e-13
         x = a
 
 
 def test_ptvdrk2p_differs_from_ptvdrk2():
-    a = baseline_stepper(BaselineId.PTVDRK2)(VORTEX, P0, 0.0, 0.1)
-    b = baseline_stepper(BaselineId.PTVDRK2P)(VORTEX, P0, 0.0, 0.1)
+    a = BASELINE_STEPPERS[BaselineId.PTVDRK2](VORTEX, P0, 0.0, 0.1)
+    b = BASELINE_STEPPERS[BaselineId.PTVDRK2P](VORTEX, P0, 0.0, 0.1)
     assert vec.norm(vec.sub(a, b)) > 1e-12
 
 
@@ -95,7 +94,7 @@ def test_tvdrk2_planar_norm_matches_3d_step():
         return vec.scale(tangent, next(speeds))
 
     field = VelocityField(raw, name="two-speed")
-    out = baseline_stepper(BaselineId.TVDRK2)(field, (0.0, -1.0, 0.0), 0.0, h)
+    out = BASELINE_STEPPERS[BaselineId.TVDRK2](field, (0.0, -1.0, 0.0), 0.0, h)
     assert vec.norm(out) == pytest.approx(tvdrk2_planar_norm(a, b, h), abs=1e-15)
 
 
@@ -129,7 +128,7 @@ def test_norm_error_orders_of_unprojected_schemes():
         rows = []
         for k in range(4):
             h = 0.1 * 2.0**-k
-            end = last_state(integrate_steps(baseline_stepper(scheme), VORTEX, P0, 0.0, 2.0, h))
+            end = last_state(integrate_steps(BASELINE_STEPPERS[scheme], VORTEX, P0, 0.0, 2.0, h))
             rows.append((h, abs(vec.norm(end) - 1.0)))
         slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
         assert abs(slope - order) <= 0.3, scheme
@@ -177,7 +176,7 @@ EXACT_RK6_B = (F(11, 120), F(0), F(27, 40), F(27, 40), F(-4, 15), F(-4, 15), F(1
 
 
 def test_rk6_float_tableau_rounds_the_exact_one():
-    assert RK6_C == tuple(float(c) for c in EXACT_RK6_C)
+    assert RK6_TABLEAU[0] == tuple(float(c) for c in EXACT_RK6_C)
     assert RK6_A == tuple(tuple(float(a) for a in row) for row in EXACT_RK6_A)
     assert RK6_B == tuple(float(b) for b in EXACT_RK6_B)
 

@@ -21,6 +21,8 @@ def test_parse_h_spec_geometric():
     assert len(hs) == 6
     assert hs[0] == 0.1
     assert hs[-1] == pytest.approx(0.1 / 32)
+    # a one-point range is increasing too
+    assert parse_h_spec("0.1/2^2..2") == [0.025]
 
 
 def test_parse_h_spec_comma_list():

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from sphererk import cli, eikonal, vec, wavefront_rows
 from sphererk.batch import exp_rows, slerp_rows
 from sphererk.eikonal import (
     _rhs,
-    _step_rows,
     COUPLED_SCHEMES,
+    COUPLED_STEPPERS,
     CSV_CHUNK_ROWS,
     MODELS,
     RAY_BLOCK,
@@ -215,7 +214,7 @@ def test_gaussian_velocity_front_folds_after_five_intervals():
 
 
 def test_single_ray_step():
-    x, k = _step_rows("stvdrk3", constant_model(), (np.array([XS]), np.array([[0.0, 1.0, 0.0]])), 0.0, 0.05)
+    x, k = COUPLED_STEPPERS["stvdrk3"](constant_model(), (np.array([XS]), np.array([[0.0, 1.0, 0.0]])), 0.0, 0.05)
     assert abs(vec.norm(x[0]) - 1.0) < 1e-14
     assert geodesic_distance(x[0], XS) == pytest.approx(0.05, abs=1e-6)
 
@@ -286,10 +285,56 @@ def test_step_guard_on_large_arcs():
         trace_wavefront(model, XS, 8, 2.0, 4.0, scheme="stvdrk3")
 
 
+def test_hamiltonian_off_the_sphere_matches_its_closed_form():
+    # the extension H = (v^2 (|k|^2 - (k.x)^2/|x|^2) - 1)/2 that _rhs differentiates
+    model = y31_model()
+    x = 1.3 * np.array(seeded_unit_vectors(7, 16))
+    k = np.array(seeded_unit_vectors(8, 16)) * np.linspace(0.5, 2.0, 16)[:, None]
+    v = model.v(x)
+    kx = np.sum(k * x, axis=1)
+    want = 0.5 * (v * v * (np.sum(k * k, axis=1) - kx * kx / np.sum(x * x, axis=1)) - 1.0)
+    np.testing.assert_allclose(hamiltonian(model, x, k), want, rtol=1e-13, atol=1e-15)
+
+
+# Per coupled scheme: the exp maps, SLERPs and normalizations of x that one
+# step makes, and the model's v evaluations (one per stage).  The Cartesian
+# schemes make no exp map and no SLERP.
+COUPLED_STEP_COUNTS = {
+    "sfe": (1, 0, 0, 1),
+    "pfe": (0, 0, 1, 1),
+    "stvdrk2": (2, 1, 0, 2),
+    "tvdrk2": (0, 0, 0, 2),
+    "ptvdrk2": (0, 0, 1, 2),
+    "stvdrk3": (3, 2, 0, 3),
+    "tvdrk3": (0, 0, 0, 3),
+    "ptvdrk3": (0, 0, 1, 3),
+}
+
+
+@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+def test_coupled_step_makes_its_stage_structure(monkeypatch, scheme):
+    counts = dict.fromkeys(("exp_rows", "slerp_rows", "normalize_rows", "v"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("exp_rows", "slerp_rows", "normalize_rows"):
+        monkeypatch.setattr(eikonal, name, counted(name, getattr(eikonal, name)))
+    base = y31_model()
+    model = VelocityModel(v=counted("v", base.v), grad_v=base.grad_v)
+    x, k = COUPLED_STEPPERS[scheme](model, initial_rays(base, XS, 5), 0.0, 0.05)
+    assert tuple(counts.values()) == COUPLED_STEP_COUNTS[scheme]
+    assert x.shape == k.shape == (5, 3)
+
+
 def test_order_shorthand():
     assert scheme_for_order(1) == "sfe"
     assert scheme_for_order(3) == "stvdrk3"
-    assert set(COUPLED_SCHEMES) >= {"sfe", "stvdrk2", "stvdrk3", "ptvdrk2", "ptvdrk3", "tvdrk3"}
+    # in the order of the CLI's --scheme choices and the parametrized test ids
+    assert COUPLED_SCHEMES == ("sfe", "pfe", "stvdrk2", "tvdrk2", "ptvdrk2", "stvdrk3", "tvdrk3", "ptvdrk3")
 
 
 def test_wavefront_csv(tmp_path):
@@ -476,7 +521,7 @@ def _one_block_march(scheme, model, n_rays, h, n_steps):
     """Every ray stepped as one block through ``integrate_steps``, front by
     front: the reference for the block march."""
     rays = initial_rays(model, XS, n_rays)
-    return [y for _, y in integrate_steps(partial(_step_rows, scheme), model, rays, 0.0, n_steps * h, h)]
+    return [y for _, y in integrate_steps(COUPLED_STEPPERS[scheme], model, rays, 0.0, n_steps * h, h)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

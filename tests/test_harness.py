@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from conftest import last_state, rotate_about
@@ -48,6 +50,10 @@ def test_fit_order_exact_powers():
 def test_fit_order_excludes_floor_rows():
     rows = [(0.1, 1e-2), (0.05, 2.5e-3), (0.025, 6.25e-4), (0.0125, 1e-16)]
     assert fit_order(rows) == pytest.approx(2.0, abs=1e-9)
+    # a row at the floor is dropped and one at the cap kept
+    assert fit_order(rows, floor=1e-16, cap=1e-2) == pytest.approx(2.0, abs=1e-9)
+    # a zero error is round-off, not a negative one
+    assert fit_order(rows[:3] + [(0.0125, 0.0)]) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_fit_order_rejects_negative_errors():
@@ -72,6 +78,15 @@ def test_fit_order_needs_three_usable_rows():
         fit_order([(0.1, 1e-3)] * 4)
     with pytest.raises(ValueError):
         fit_order([(0.1, 1e-2), (0.05, 2.5e-3), (0.05, 2.5e-3), (0.05, 2.5e-3)])
+
+
+@pytest.mark.parametrize("bad", [-0.05, 0.0, math.inf, math.nan])
+def test_fit_order_rejects_a_step_size_not_finite_and_positive(bad, capfd):
+    rows = [(0.1, 1e-2), (bad, 1e-3), (0.025, 1e-4)]
+    with pytest.raises(ValueError, match=re.escape(f"need finite step sizes h > 0, got [0.1, {bad!r}, 0.025]")):
+        fit_order(rows)
+    # rejected before np.log: no numpy warning, and nothing from LAPACK on fd 2
+    assert capfd.readouterr().err == ""
 
 
 def test_convergence_report_shape():
@@ -303,6 +318,57 @@ def test_appendix_b_report():
     assert rep.ptvdrk3p_h3_coefficient == pytest.approx(-1.0 / 3.0, abs=1e-4)
 
 
+# verify_appendix_a on planar norms that miss one of its three conditions:
+# dc2 and dc4 shift the fitted h^2 and h^4 coefficients by that fraction of
+# their exact values, and a coupled defect of h^2 fits slope 2, not 4.
+@pytest.mark.parametrize("dc2, dc4, coupled_slope", [
+    (0.02, 0.0, 4.0),
+    (0.0, 0.03, 4.0),
+    (0.0, 0.0, 2.0),
+], ids=["c2-off-2%", "c4-off-3%", "coupled-slope-2"])
+def test_appendix_a_verdict_fails_on_each_condition_alone(monkeypatch, dc2, dc4, coupled_slope):
+    real = harness.tvdrk2_planar_norm
+    c2, c4, _ = appendix_a_coefficients(1.0, 1.1)
+
+    def norm(a, b, h):
+        if b == 1.1:
+            return real(a, b, h) + dc2 * c2 * h**2 + dc4 * c4 * h**4
+        return 1.0 + h**2 if coupled_slope == 2.0 else real(a, b, h)
+
+    monkeypatch.setattr(harness, "tvdrk2_planar_norm", norm)
+    rep = verify_appendix_a()
+    assert rep.c2_measured == pytest.approx((1.0 + dc2) * c2, rel=2e-3)
+    assert rep.c4_measured == pytest.approx((1.0 + dc4) * c4, rel=5e-3)
+    assert rep.coupled_slope == pytest.approx(coupled_slope, abs=0.05)
+    assert not rep.passed
+
+
+# verify_appendix_b on recurrences that miss one of its conditions: a factor
+# exp(h) + h^(p + 1.2) has global order p + 0.2, and adding d h^3 to a
+# PTVDRK3' step moves its h^3 coefficient by d, here 6% of 1/3.
+@pytest.mark.parametrize("scheme, order, extra", [
+    (BaselineId.PFE, 1.2, None),
+    (BaselineId.PTVDRK2P, 2.2, None),
+    (BaselineId.PTVDRK3P, 2.0, -0.02),
+], ids=["pfe-order", "ptvdrk2p-order", "ptvdrk3p-coefficient"])
+def test_appendix_b_verdict_fails_on_each_condition_alone(monkeypatch, scheme, order, extra):
+    real = harness.angle_recurrence
+
+    def recurrence(s, theta, h):
+        if s != scheme:
+            return real(s, theta, h)
+        if extra is None:
+            return (math.exp(h) + h ** (order + 1.0)) * theta
+        return real(s, theta, h) + extra * h**3 * theta
+
+    monkeypatch.setattr(harness, "angle_recurrence", recurrence)
+    rep = verify_appendix_b()
+    expected = {"pfe": 1.0, "ptvdrk2p": 2.0, "ptvdrk3p": 2.0, scheme.value: order}
+    assert rep.orders == pytest.approx(expected, abs=0.05)
+    assert rep.ptvdrk3p_h3_coefficient == pytest.approx(-1.0 / 3.0 + (extra or 0.0), abs=1e-4)
+    assert not rep.passed
+
+
 @pytest.mark.parametrize("member", [SchemeId.STVDRK3, BaselineId.PFE, BaselineId.FE])
 def test_resolve_scheme_returns_a_member_itself(member):
     assert resolve_scheme(member) is member
@@ -331,6 +397,23 @@ def test_convergence_rejects_a_start_off_the_sphere(p0, scheme):
     # report a vortex center at a negative distance
     with pytest.raises(ValueError, match="start point .* off the unit sphere"):
         run_convergence(scheme, vortex_problem(VortexConfig(p0=p0)), H4)
+
+
+@pytest.mark.parametrize("config", [
+    VortexConfig(p0=np.array([1.0, 0.0, 0.0])),
+    VortexConfig(p0=[1.0, 0.0, 0.0]),
+    VortexConfig(centers=np.array(VORTEX4_CENTERS)),
+], ids=["numpy-start", "list-start", "numpy-centres"])
+def test_convergence_accepts_array_inputs(config):
+    prob = vortex_problem(config)
+    assert run_convergence("stvdrk3", prob, H4) == run_convergence("stvdrk3", vortex_problem(), H4)
+    # equal values share the tuple inputs' cached reference
+    assert reference_endpoint(prob) is reference_endpoint(vortex_problem())
+
+
+def test_convergence_rejects_an_empty_step_list():
+    with pytest.raises(ValueError, match="at least one step size"):
+        run_convergence("stvdrk3", vortex_problem(), [])
 
 
 def test_convergence_rejects_a_non_finite_start():

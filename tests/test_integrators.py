@@ -7,7 +7,7 @@ import pytest
 
 from conftest import last_state, rotate_about
 from sphererk import vec
-from sphererk.baselines import BASELINE_STEPPERS, BaselineId, baseline_stepper
+from sphererk.baselines import BASELINE_STEPPERS, BaselineId
 from sphererk.eikonal import VelocityModel, trace_wavefront
 from sphererk.errors import NonFiniteStateError, NonTangentVelocityError, SphereRKError, StepTooLargeError
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
@@ -22,7 +22,6 @@ from sphererk.integrators import (
     projected_mean,
     sfe_step,
     snapshot_steps,
-    stepper_for,
     stvdrk2_step,
     stvdrk3_step,
 )
@@ -37,7 +36,7 @@ EQUATOR_P = (0.0, 0.0, 1.0)  # perpendicular to OMEGA: great-circle motion
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_zero_field_fixes_every_scheme(scheme):
-    q = stepper_for(scheme)(ZERO_FIELD, P0, 0.0, 0.1)
+    q = STEPPERS[scheme](ZERO_FIELD, P0, 0.0, 0.1)
     assert vec.norm(vec.sub(q, P0)) <= 1e-15
 
 
@@ -54,7 +53,7 @@ def test_zero_field_fixes_every_scheme(scheme):
 def test_rigid_rotation_exact_per_step(scheme, tol):
     f = rigid_rotation_field(OMEGA)
     h = 0.37
-    q = stepper_for(scheme)(f, EQUATOR_P, 0.0, h)
+    q = STEPPERS[scheme](f, EQUATOR_P, 0.0, h)
     exact = rotate_about(OMEGA, EQUATOR_P, h)
     assert vec.norm(vec.sub(q, exact)) <= tol
 
@@ -112,7 +111,7 @@ def test_global_orders_against_closed_form_rotation(scheme, order):
     rows = []
     for k in range(5):
         h = 0.1 * 2.0**-k
-        end = last_state(integrate_steps(stepper_for(scheme), f, p0, 0.0, 1.0, h))
+        end = last_state(integrate_steps(STEPPERS[scheme], f, p0, 0.0, 1.0, h))
         rows.append((h, vec.norm(vec.sub(end, exact))))
     slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
     assert abs(slope - order) <= 0.3
@@ -364,7 +363,7 @@ def test_non_tangent_field_raises_for_every_scheme(scheme):
     # the normal field (0, 0, 1) at e3 would push |p| to ~1.93 over [0, 1]
     normal = VelocityField(lambda p, t: (0.0, 0.0, 1.0))
     with pytest.raises(NonTangentVelocityError, match=r"^step 0 at t=0\.0: "):
-        list(integrate_steps(stepper_for(scheme), normal, (0.0, 0.0, 1.0), 0.0, 1.0, 0.1))
+        list(integrate_steps(STEPPERS[scheme], normal, (0.0, 0.0, 1.0), 0.0, 1.0, 0.1))
 
 
 def _spin_plus_normal(c):
@@ -375,10 +374,10 @@ def _spin_plus_normal(c):
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_normal_part_within_the_norm_tolerance_passes(scheme):
     p = project((0.6, 0.0, 0.8))
-    stepper_for(scheme)(_spin_plus_normal(1e-12), p, 0.0, 0.1)  # h |p . v| = 1e-13
+    STEPPERS[scheme](_spin_plus_normal(1e-12), p, 0.0, 0.1)  # h |p . v| = 1e-13
     with pytest.raises(NonTangentVelocityError):
         # 1e-11 at h, and still over 1e-12 on the h/6 substeps of sssprk104
-        stepper_for(scheme)(_spin_plus_normal(1e-10), p, 0.0, 0.1)
+        STEPPERS[scheme](_spin_plus_normal(1e-10), p, 0.0, 0.1)
 
 
 def test_tangency_guard_rejects_nan():
@@ -387,36 +386,36 @@ def test_tangency_guard_rejects_nan():
 
 
 def test_integrate_zero_span():
-    traj = list(integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 0.0, 0.1))
+    traj = list(integrate_steps(STEPPERS[SchemeId.STVDRK3], VORTEX, P0, 0.0, 0.0, 0.1))
     assert traj == [(0.0, P0)]
 
 
 def test_integrate_counts_and_grid():
-    traj = list(integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, 1.0, 0.1))
+    traj = list(integrate_steps(STEPPERS[SchemeId.SFE], VORTEX, P0, 0.0, 1.0, 0.1))
     assert len(traj) == 11
     assert traj[-1][0] == 1.0
     assert traj[3][0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_integrate_partial_final_step():
-    traj = list(integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.1))
+    traj = list(integrate_steps(STEPPERS[SchemeId.STVDRK2], VORTEX, P0, 0.0, 0.25, 0.1))
     assert len(traj) == 4  # ceil(2.5) + 1
     assert traj[-1][0] == 0.25
     # endpoint agrees with an exactly divisible run to the same time
-    other = last_state(integrate_steps(stepper_for(SchemeId.STVDRK2), VORTEX, P0, 0.0, 0.25, 0.05))
+    other = last_state(integrate_steps(STEPPERS[SchemeId.STVDRK2], VORTEX, P0, 0.0, 0.25, 0.05))
     assert vec.norm(vec.sub(traj[-1][1], other)) < 5e-3
 
 
 def test_integrate_full_revolution_returns_home():
     f = rigid_rotation_field(OMEGA)
-    end = last_state(integrate_steps(stepper_for(SchemeId.STVDRK3), f, EQUATOR_P, 0.0, 2.0 * math.pi, math.pi / 100.0))
+    end = last_state(integrate_steps(STEPPERS[SchemeId.STVDRK3], f, EQUATOR_P, 0.0, 2.0 * math.pi, math.pi / 100.0))
     assert vec.norm(vec.sub(end, EQUATOR_P)) <= 1e-10
 
 
 def test_integrate_annotates_step_errors():
     f = rigid_rotation_field((0.0, 0.0, 4.0))
     with pytest.raises(StepTooLargeError, match="step 0"):
-        list(integrate_steps(stepper_for(SchemeId.SFE), f, P0, 0.0, 2.0, 1.0))
+        list(integrate_steps(STEPPERS[SchemeId.SFE], f, P0, 0.0, 2.0, 1.0))
 
 
 def test_integrate_steps_holds_no_memory_before_the_first_step():
@@ -476,15 +475,15 @@ def test_row_flows_report_the_failing_step():
 
 def test_integrate_validates_arguments():
     with pytest.raises(ValueError):
-        integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, 1.0, -0.1)
+        integrate_steps(STEPPERS[SchemeId.SFE], VORTEX, P0, 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
-        integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 1.0, 0.0, 0.1)
+        integrate_steps(STEPPERS[SchemeId.SFE], VORTEX, P0, 1.0, 0.0, 0.1)
 
 
 @pytest.mark.parametrize("t_final, h", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1)])
 def test_integrate_rejects_non_finite_step_or_horizon(t_final, h):
     with pytest.raises(ValueError, match="step"):
-        integrate_steps(stepper_for(SchemeId.SFE), VORTEX, P0, 0.0, t_final, h)
+        integrate_steps(STEPPERS[SchemeId.SFE], VORTEX, P0, 0.0, t_final, h)
 
 
 @pytest.mark.parametrize("h, span, counted", [
@@ -503,16 +502,23 @@ def test_snapshot_steps_rejects_time_between_grid_points():
         snapshot_steps(1e-7, 1e-5, [5.045e-6])
 
 
+def test_snapshot_steps_rejects_a_horizon_short_of_one_step():
+    # 1e-13 rounds to 0 steps within grid_steps' 1e-12 tolerance, but only an
+    # empty span is a whole number of no steps
+    with pytest.raises(ValueError, match="whole number of steps"):
+        snapshot_steps(1.0, 1e-13, None)
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_sphere_invariance_along_trajectories(scheme):
-    steps = integrate_steps(stepper_for(scheme), VORTEX, P0, 0.0, 0.5, 1e-2)
+    steps = integrate_steps(STEPPERS[scheme], VORTEX, P0, 0.0, 0.5, 1e-2)
     worst = max(abs(vec.norm(p) - 1.0) for _, p in steps)
     assert worst <= 1e-12
 
 
 def test_endpoint_matches_fine_reference():
-    end = last_state(integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-3))
-    ref = last_state(integrate_steps(stepper_for(SchemeId.STVDRK3), VORTEX, P0, 0.0, 2.0, 1e-4))
+    end = last_state(integrate_steps(STEPPERS[SchemeId.STVDRK3], VORTEX, P0, 0.0, 2.0, 1e-3))
+    ref = last_state(integrate_steps(STEPPERS[SchemeId.STVDRK3], VORTEX, P0, 0.0, 2.0, 1e-4))
     assert vec.norm(vec.sub(end, ref)) < 1e-8
 
 
@@ -578,7 +584,7 @@ TVDRK_FAMILY = {
     "sfe": sfe_step,
     "stvdrk2": stvdrk2_step,
     "stvdrk3": stvdrk3_step,
-    **{b.value: baseline_stepper(b) for b in BaselineId if "tvdrk" in b.value},
+    **{b.value: BASELINE_STEPPERS[b] for b in BaselineId if "tvdrk" in b.value},
 }
 TWIRL_STEPPERS = {**TVDRK_FAMILY, **CANDIDATES}
 
@@ -679,7 +685,7 @@ def test_stage_tables_derive_the_stage_times(scheme, end):
     assert abs(table.times[-1] - end) <= 1e-15
     # with t = 0 and h = 1 a step evaluates each field at its point's time
     seen = []
-    stepper_for(scheme)(VelocityField(lambda p, t: seen.append(t) or vec.ZERO), P0, 0.0, 1.0)
+    STEPPERS[scheme](VelocityField(lambda p, t: seen.append(t) or vec.ZERO), P0, 0.0, 1.0)
     assert seen == [table.times[j] for j in _evaluated_points(table)]
 
 
@@ -732,7 +738,7 @@ def test_candidates_are_fourth_order_on_a_great_circle(scheme):
     # comes from the sphere's two-dimensional geometry
     order, floor = GREAT_CIRCLE_ORDERS[scheme]
     exact = _great_circle_endpoint()
-    errs = [vec.norm(vec.sub(last_state(integrate_steps(stepper_for(scheme), GREAT_CIRCLE, (0.0, 1.0, 0.0),
+    errs = [vec.norm(vec.sub(last_state(integrate_steps(STEPPERS[scheme], GREAT_CIRCLE, (0.0, 1.0, 0.0),
                                                         0.0, 2.0, 0.2 * 2.0**-k)), exact)) for k in range(6)]
     slopes = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:]) if fine > floor]
     assert len(slopes) >= 2
@@ -761,5 +767,5 @@ PINNED_RK_ENDPOINTS = {
                          ids=[f"{field}-{name}" for field, name in sorted(PINNED_RK_ENDPOINTS)])
 def test_pinned_rk_endpoints(field, name):
     f, p0 = (VORTEX, P0) if field == "vortex4" else (TWIRL, TWIRL_P0)
-    end = last_state(integrate_steps(baseline_stepper(name), f, p0, 0.0, 2.0, 0.1))
+    end = last_state(integrate_steps(BASELINE_STEPPERS[name], f, p0, 0.0, 2.0, 0.1))
     assert vec.norm(vec.sub(end, PINNED_RK_ENDPOINTS[(field, name)])) <= 1e-14

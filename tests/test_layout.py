@@ -20,7 +20,7 @@ import pytest
 
 from conftest import last_state
 from sphererk.batch import exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows
-from sphererk.eikonal import COUPLED_SCHEMES, _step_rows, initial_rays, trace_wavefront, y31_model
+from sphererk.eikonal import COUPLED_SCHEMES, COUPLED_STEPPERS, initial_rays, trace_wavefront, y31_model
 from sphererk.integrators import integrate_steps, tvdrk_step
 from sphererk.pharmonic import (
     DirectorCurve,
@@ -61,7 +61,7 @@ def spread_rays():
     model = y31_model()
     y = initial_rays(model, XS, N_ROWS)
     for i in range(3):
-        y = _step_rows("stvdrk3", model, y, i * H, H)
+        y = COUPLED_STEPPERS["stvdrk3"](model, y, i * H, H)
     return model, y
 
 
@@ -93,8 +93,8 @@ def test_row_kernels_do_not_depend_on_the_layout():
 def test_ray_step_does_not_depend_on_the_layout(scheme):
     model, y = spread_rays()
     rows, cols = layouts(*y)
-    for a, b in zip(_step_rows(scheme, model, tuple(rows), 0.0, H),
-                    _step_rows(scheme, model, tuple(cols), 0.0, H)):
+    for a, b in zip(COUPLED_STEPPERS[scheme](model, tuple(rows), 0.0, H),
+                    COUPLED_STEPPERS[scheme](model, tuple(cols), 0.0, H)):
         assert_same_bits(a, b)
 
 
@@ -120,7 +120,7 @@ def test_initial_rays_are_column_major():
 @pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
 def test_ray_step_keeps_column_major_state(scheme):
     model, y = spread_rays()
-    x, k = _step_rows(scheme, model, y, 0.0, H)
+    x, k = COUPLED_STEPPERS[scheme](model, y, 0.0, H)
     assert x.flags.f_contiguous and k.flags.f_contiguous
 
 

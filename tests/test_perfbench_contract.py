@@ -75,7 +75,7 @@ def test_tracer_sees_every_step_through_the_tables():
             return {name: s[0] - before[name] for name, s in tracer.stats.items()}
 
         for scheme in baselines.BaselineId:
-            calls = one_step(baselines.baseline_stepper(scheme))
+            calls = one_step(baselines.BASELINE_STEPPERS[scheme])
             assert (calls["baselines.step"], calls["integrators.step"]) == (1, 0), scheme
             # every stage projects its argument; projected schemes also project outputs
             if scheme in baselines.ON_SPHERE:
@@ -83,7 +83,7 @@ def test_tracer_sees_every_step_through_the_tables():
             else:
                 assert calls["geometry.project"] == evals[0], scheme
         for scheme in integrators.SchemeId:
-            calls = one_step(integrators.stepper_for(scheme))
+            calls = one_step(integrators.STEPPERS[scheme])
             assert (calls["integrators.step"], calls["baselines.step"]) == (1, 0), scheme
             # each field value drives at least one exp-map substep
             assert calls["geometry.exp_raw"] >= evals[0] > 0, scheme

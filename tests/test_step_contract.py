@@ -18,14 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import unit_vectors
 from sphererk import integrators, vec
-from sphererk.baselines import ON_SPHERE, baseline_stepper
+from sphererk.baselines import BASELINE_STEPPERS, ON_SPHERE
 from sphererk.errors import SphereRKError
 from sphererk.fields import rigid_rotation_field
 from sphererk.geometry import UNIT_NORM_TOL
-from sphererk.integrators import STAGE_TABLES, SchemeId, stepper_for
+from sphererk.integrators import STAGE_TABLES, SchemeId
 
-STEPPERS = {s.value: stepper_for(s) for s in SchemeId}
-STEPPERS.update({b.value: baseline_stepper(b) for b in ON_SPHERE})
+STEPPERS = {s.value: integrators.STEPPERS[s] for s in SchemeId}
+STEPPERS.update({b.value: BASELINE_STEPPERS[b] for b in ON_SPHERE})
 BAD_VALUES = (0.0, -0.0, 1e-320, 1e308, math.inf, -math.inf, math.nan)
 
 
