@@ -26,32 +26,25 @@ worker count; an error in any block is reported as the one-block march
 reports it.  The march state is column-major (``initial_rays`` builds it so
 and every row kernel keeps the layout), so each ufunc streams whole columns
 of a block instead of looping over the 3-wide axis of row-major rows; the
-bits are the same in either layout.  The fronts are copied out row-major.
-
-The CSV writer is bound by float ``repr``, which holds the interpreter lock,
-so it formats on up to one process per usable CPU: this one and bare child
-interpreters running ``wavefront_rows.py``.  Every process formats with the
-same function, so the bytes do not depend on the process count.
+bits are the same in either layout.  The fronts are copied out row-major;
+``wavefront_rows.write_wavefronts_csv``, bound here too, writes them as CSV.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import shutil
-import sys
 import threading
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .batch import check_arc, exp_rows, normalize_rows, row_dot, row_norm, slerp_rows
+from .errors import NonFiniteStateError
 from .geometry import HALF_PI, UnitVector3, check_on_sphere
 from .integrators import integrate_steps, snapshot_steps, tvdrk_step
+from .wavefront_rows import usable_cpus, write_wavefronts_csv  # noqa: F401 (the writer, bound here)
 
 Y31_AMPLITUDE = -0.125 * math.sqrt(21.0 / math.pi)
 
@@ -132,7 +125,8 @@ class Wavefront:
 
 def _rhs(model: VelocityModel, x: np.ndarray, k: np.ndarray):
     """Ray right-hand sides f1 = v^2 [k - (x.k) x/|x|] and
-    f2 = v^2 (x.k)/|x| [k - (x.k)/|x| x] - grad(v)/v."""
+    f2 = v^2 (x.k)/|x| [k - (x.k)/|x| x] - grad(v)/v; a non-finite row of
+    either raises NonFiniteStateError."""
     v = model.v(x)[..., None]
     v2 = v * v
     xk = row_dot(x, k)
@@ -145,6 +139,8 @@ def _rhs(model: VelocityModel, x: np.ndarray, k: np.ndarray):
     f2 = bracket
     f2 *= v2 * xk
     f2 -= model.grad_v(x) / v
+    if not (np.isfinite(f1).all() and np.isfinite(f2).all()):
+        raise NonFiniteStateError("ray stage velocity is not finite")
     return f1, f2
 
 
@@ -256,13 +252,6 @@ def initial_rays(model: VelocityModel, xs: UnitVector3, n_rays: int):
 RAY_BLOCK = 16384
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def trace_wavefront(
     model: VelocityModel,
     xs: UnitVector3,
@@ -296,7 +285,7 @@ def trace_wavefront(
                 front_k[i][rows] = k
 
     blocks = [slice(j, j + RAY_BLOCK) for j in range(0, n_rays, RAY_BLOCK)]
-    workers = min(_usable_cpus(), len(blocks))
+    workers = min(usable_cpus(), len(blocks))
     failed = []
 
     def run(stride: List[slice]) -> None:
@@ -315,78 +304,3 @@ def trace_wavefront(
         # a block reports its own first failure (a stage arc is its maximum): raise what one block reports
         march(slice(None))
     return [Wavefront(t=i * h, x=front_x[i], k=front_k[i]) for i in snaps]
-
-
-# Rows per slice of the CSV writer.  A slice is converted to Python floats at
-# once, so the transient lists stay small however many rays a front has, and
-# slices are the unit the writer hands to its formatter processes.
-CSV_CHUNK_ROWS = 4096
-
-
-def write_wavefronts_csv(path: Union[str, Path], fronts: Sequence[Wavefront]) -> None:
-    """Write every front's rows, in slices of CSV_CHUNK_ROWS rays of one front.
-
-    The slices are cut into one contiguous run per usable CPU.  This process
-    formats the first run straight into the file while child interpreters
-    (``sys.executable -I -S wavefront_rows.py``) format the others into
-    temporary files in the output's directory; their files are then appended
-    in order.  Every cell is the repr of a Python float, the shortest round
-    trip, and the u cell is the front's t cell: the bytes do not depend on the
-    number of processes.  A formatter that fails raises OSError.  No child
-    outlives the call, and a write that fails leaves no file.
-    """
-    # imported here: subprocess adds ~8 ms to every command importing this module
-    import subprocess
-    import tempfile
-
-    from . import wavefront_rows
-
-    slices = [(repr(float(f.t)), j0, f.x[j0:j0 + CSV_CHUNK_ROWS], f.k[j0:j0 + CSV_CHUNK_ROWS])
-              for f in fronts for j0 in range(0, len(f.x), CSV_CHUNK_ROWS)]
-    workers = max(1, min(_usable_cpus(), len(slices))) if sys.executable else 1
-    runs = [slices[len(slices) * w // workers:len(slices) * (w + 1) // workers] for w in range(workers)]
-    directory = os.path.dirname(os.path.abspath(path))
-    out = open(path, "wb")
-    try:
-        with out, ExitStack() as stack:
-            out.write(b"t,ray_index,x,y,z,kx,ky,kz,u\n")
-            children = []
-            for run in runs[1:]:
-                tmp = stack.enter_context(tempfile.TemporaryFile(dir=directory))
-                proc = subprocess.Popen([sys.executable, "-I", "-S", wavefront_rows.__file__],
-                                        stdin=subprocess.PIPE, stdout=tmp)
-                stack.callback(_stop, proc)
-                _feed(proc, run)
-                children.append((proc, tmp))
-            for t, j0, x, k in runs[0]:
-                out.write(wavefront_rows.format_slice(t, j0, x.T.tolist() + k.T.tolist()).encode("ascii"))
-            for proc, tmp in children:
-                if proc.wait():
-                    raise OSError(f"wavefront CSV formatter exited with status {proc.returncode}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, out)
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
-
-
-def _feed(proc, run) -> None:
-    """Send a run of slices to a formatter child and close its input."""
-    try:
-        for t, j0, x, k in run:
-            proc.stdin.write(f"{t} {j0} {len(x)}\n".encode("ascii"))
-            proc.stdin.write(x.T.tobytes())
-            proc.stdin.write(k.T.tobytes())
-        proc.stdin.close()
-    except BrokenPipeError:
-        raise OSError("wavefront CSV formatter stopped reading its input") from None
-
-
-def _stop(proc) -> None:
-    """Kill a formatter child unless it has exited, and reap it."""
-    proc.kill()
-    proc.wait()
-    try:
-        proc.stdin.close()
-    except OSError:
-        pass  # input left unsent to a child that is gone

@@ -36,19 +36,26 @@ UnitVector3 = Vec3
 def project(v: Vec3) -> UnitVector3:
     """Closest-point projection v/|v| onto the sphere.
 
+    Below a norm of 2^-500 or from 2^500 up, the squares in |v| could lose
+    bits to underflow or overflow, so v is first scaled by a power of two.
+
     Raises
     ------
     ZeroVectorError
-        If |v| is numerically zero: its squares underflow to a norm below 1e-300.
+        If v is the zero vector.
     NonFiniteStateError
-        If |v| is NaN or infinite.
+        If a coordinate of v is NaN or infinite.
     """
     x, y, z = v
     n = math.sqrt(x * x + y * y + z * z)
-    if not (1e-300 <= n < math.inf):
-        if n < 1e-300:
+    if not (2.0**-500 <= n < 2.0**500):
+        if not all(map(math.isfinite, v)):
+            raise NonFiniteStateError(f"cannot project the non-finite vector {tuple(v)!r} onto the sphere")
+        if not (x or y or z):
             raise ZeroVectorError("cannot project a zero vector onto the sphere")
-        raise NonFiniteStateError(f"cannot project a vector of norm {n!r} onto the sphere")
+        e = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
+        x, y, z = math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e)
+        n = math.sqrt(x * x + y * y + z * z)
     return (x / n, y / n, z / n)
 
 

@@ -14,7 +14,7 @@ from sphererk.batch import (
     slerp_rows,
 )
 from sphererk.errors import AntipodalPointsError, NonFiniteStateError, StepTooLargeError
-from sphererk.geometry import UNIT_NORM_TOL, exp_raw, geodesic_distance, slerp
+from sphererk.geometry import HALF_PI, UNIT_NORM_TOL, exp_raw, geodesic_distance, slerp
 from sphererk.integrators import snapshot_steps
 
 # The last separation sits just inside ANTIPODAL_LIMIT = pi - 1e-3.
@@ -158,6 +158,14 @@ def test_check_arc_rejects_finite_arc_at_or_over_limit():
     # squares that overflow still come from a finite velocity
     with pytest.raises(StepTooLargeError):
         check_arc(1.0, np.array([[1e200, 0.0, 0.0]]), 1.0, "test")
+
+
+def test_check_arc_bound_is_exact():
+    # a unit velocity makes the stage arc h itself: the bound fails, one ulp below passes
+    v = np.array([[0.0, -1.0, 0.0]])
+    with pytest.raises(StepTooLargeError):
+        check_arc(HALF_PI, v, HALF_PI, "ray")
+    check_arc(math.nextafter(HALF_PI, 0.0), v, HALF_PI, "ray")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

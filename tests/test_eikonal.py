@@ -6,14 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import read_csv_floats, seeded_unit_vectors
-from sphererk import cli, eikonal, vec, wavefront_rows
+from conftest import seeded_unit_vectors
+from sphererk import eikonal, vec
 from sphererk.batch import exp_rows, slerp_rows
 from sphererk.eikonal import (
     _rhs,
     COUPLED_SCHEMES,
     COUPLED_STEPPERS,
-    CSV_CHUNK_ROWS,
     MODELS,
     RAY_BLOCK,
     Y31_AMPLITUDE,
@@ -25,7 +24,6 @@ from sphererk.eikonal import (
     initial_rays,
     scheme_for_order,
     trace_wavefront,
-    write_wavefronts_csv,
     y31_model,
 )
 from sphererk.errors import NonFiniteStateError, StepTooLargeError
@@ -337,17 +335,6 @@ def test_order_shorthand():
     assert COUPLED_SCHEMES == ("sfe", "pfe", "stvdrk2", "tvdrk2", "ptvdrk2", "stvdrk3", "tvdrk3", "ptvdrk3")
 
 
-def test_wavefront_csv(tmp_path):
-    model = constant_model()
-    fronts = trace_wavefront(model, XS, 8, 0.1, 0.5, scheme="stvdrk2",
-                             snapshot_times=[0.2, 0.5])
-    out = tmp_path / "front.csv"
-    write_wavefronts_csv(out, fronts)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "t,ray_index,x,y,z,kx,ky,kz,u"
-    assert len(lines) == 1 + 2 * 8
-
-
 def test_y31_grad_v_matches_finite_differences_below_the_equator():
     model = y31_model()
     eps = 1e-6
@@ -361,7 +348,7 @@ def test_y31_grad_v_matches_finite_differences_below_the_equator():
         assert np.max(np.abs(grad[:, j] - fd)) < 1e-6 * max(1.0, float(np.max(np.abs(grad[:, j]))))
 
 
-@pytest.mark.parametrize("scheme", ["sfe", "stvdrk2", "stvdrk3"])
+@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
 def test_non_finite_velocity_raises_non_finite_state(scheme):
     def v(x):
         out = np.ones(x.shape[:-1])
@@ -369,152 +356,16 @@ def test_non_finite_velocity_raises_non_finite_state(scheme):
         return out
 
     model = VelocityModel(v=v, grad_v=lambda x: np.zeros_like(x))  # NaN north of the equator
-    with pytest.raises(NonFiniteStateError):
+    with pytest.raises(NonFiniteStateError, match="^step .*: ray stage velocity is not finite"):
         trace_wavefront(model, XS, 8, 0.1, 1.0, scheme=scheme)
 
 
-def test_wavefront_csv_cells_are_round_trip_floats(tmp_path):
-    model = y31_model()
-    fronts = trace_wavefront(model, XS, 8, 0.1, 0.5, scheme="stvdrk3", snapshot_times=[0.2, 0.5])
-    out = tmp_path / "front.csv"
-    write_wavefronts_csv(out, fronts)
-    want = np.concatenate(
-        [np.column_stack([np.full(8, f.t), np.arange(8), f.x, f.k, np.full(8, f.t)]) for f in fronts]
-    )
-    assert np.array_equal(read_csv_floats(out), want)
-
-
-def test_wavefront_csv_chunks_match_whole_front_rows(tmp_path):
-    # more rays than two slices and not a multiple of the slice length
-    n = 2 * CSV_CHUNK_ROWS + 3
-    rng = np.random.default_rng(5)
-    fronts = [Wavefront(t=0.1 * i, x=rng.standard_normal((n, 3)), k=rng.standard_normal((n, 3)))
-              for i in range(3)]
-    out = tmp_path / "front.csv"
-    write_wavefronts_csv(out, fronts)
-    assert out.read_bytes() == _row_formula(fronts)
-
-
-def _row_formula(fronts):
-    """The CSV as one f-string per row: the bytes the writer produced before it
-    formatted in several processes."""
-    want = ["t,ray_index,x,y,z,kx,ky,kz,u\n"]
-    for f in fronts:
-        rows = zip(f.x.tolist(), f.k.tolist())
-        want.extend(f"{f.t!r},{j},{px!r},{py!r},{pz!r},{kx!r},{ky!r},{kz!r},{f.t!r}\n"
-                    for j, ((px, py, pz), (kx, ky, kz)) in enumerate(rows))
-    return "".join(want).encode("utf-8")
-
-
-@pytest.fixture
-def formatters(monkeypatch):
-    """Every formatter child the writer starts, kept so a test can see it was reaped."""
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return started
-
-
-def _awkward_fronts():
-    """Fronts of 10, 3 and 7 rays: 6 slices of 4 rows at most, cut by 2 workers at
-    a front boundary and by 3 workers within front 0 and at a boundary."""
-    rng = np.random.default_rng(11)
-    fronts = []
-    for t, n in ((0.0, 10), (0.1, 3), (2.5, 7)):
-        x, k = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
-        fronts.append(Wavefront(t=t, x=x, k=k))
-    fronts[0].x[1] = (-0.0, 1e-300, 1e17)
-    fronts[1].k[2] = (math.nan, -1e-300, -0.0)
-    fronts[2].x[6] = (1e17 + 16.0, math.nan, 5e-324)
-    return fronts
-
-
-def test_wavefront_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, formatters):
-    monkeypatch.setattr(eikonal, "CSV_CHUNK_ROWS", 4)
-    fronts = _awkward_fronts()
-    want = _row_formula(fronts)
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(eikonal, "_usable_cpus", lambda: cpus)
-        out = tmp_path / f"front{cpus}.csv"
-        started = len(formatters)
-        write_wavefronts_csv(out, fronts)
-        assert out.read_bytes() == want
-        assert len(formatters) - started == cpus - 1
-    assert all(proc.returncode == 0 for proc in formatters)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["front1.csv", "front2.csv", "front3.csv"]
-
-
-def test_wavefront_csv_without_an_interpreter_formats_in_process(monkeypatch, tmp_path, formatters):
-    monkeypatch.setattr(eikonal, "CSV_CHUNK_ROWS", 4)
-    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(sys, "executable", "")
-    fronts = _awkward_fronts()
-    out = tmp_path / "front.csv"
-    write_wavefronts_csv(out, fronts)
-    assert out.read_bytes() == _row_formula(fronts)
-    assert formatters == []
-
-
-def _failing_interpreter(tmp_path, script="exit 3"):
-    prog = tmp_path / "bin" / "python"
-    prog.parent.mkdir()
-    prog.write_text(f"#!/bin/sh\n{script}\n")
-    prog.chmod(0o755)
-    return str(prog)
-
-
-@pytest.mark.parametrize("script,message", [
-    ("cat > /dev/null; exit 3", "exited with status 3"),
-    # two full slices overflow the pipe, so the parent finds it closed
-    ("exit 3", "stopped reading its input"),
-])
-def test_wavefront_csv_formatter_failure_raises_oserror(monkeypatch, tmp_path, formatters, script, message):
-    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(sys, "executable", _failing_interpreter(tmp_path, script))
-    n = 3 * CSV_CHUNK_ROWS
-    front = Wavefront(t=0.5, x=np.ones((n, 3)), k=np.ones((n, 3)))
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    with pytest.raises(OSError, match=f"wavefront CSV formatter {message}"):
-        write_wavefronts_csv(outdir / "front.csv", [front])
-    assert [proc.returncode for proc in formatters] == [3]
-    assert list(outdir.iterdir()) == []
-
-
-def test_wavefront_csv_error_in_the_parent_stops_the_children(monkeypatch, tmp_path, formatters):
-    def fail(*args):
-        raise RuntimeError("formatting failed")
-
-    monkeypatch.setattr(eikonal, "CSV_CHUNK_ROWS", 4)
-    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: 3)
-    # only this process's copy of the module fails; the children run the file
-    monkeypatch.setattr(wavefront_rows, "format_slice", fail)
-    with pytest.raises(RuntimeError, match="formatting failed"):
-        write_wavefronts_csv(tmp_path / "front.csv", _awkward_fronts())
-    assert len(formatters) == 2
-    assert all(proc.returncode is not None for proc in formatters)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_cli_reports_a_failed_formatter_without_traceback(monkeypatch, tmp_path, formatters, capfd):
-    monkeypatch.setattr(eikonal, "CSV_CHUNK_ROWS", 4)
-    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(sys, "executable", _failing_interpreter(tmp_path))
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    code = cli.main(["eikonal", "--velocity", "const", "--rays", "16", "--dt", "0.1",
-                     "--t-final", "0.2", "--out", str(outdir / "front.csv")])
-    err = capfd.readouterr().err
-    assert code == 1
-    assert "sphererk: error: wavefront CSV formatter" in err
-    assert "Traceback" not in err
-    assert [proc.returncode for proc in formatters] == [3]
-    assert list(outdir.iterdir()) == []
+@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+def test_non_finite_velocity_gradient_raises_in_the_first_step(scheme):
+    # only the k right-hand side sees grad(v); x's stays finite
+    model = VelocityModel(v=lambda x: np.ones(x.shape[:-1]), grad_v=lambda x: np.full(x.shape, math.nan))
+    with pytest.raises(NonFiniteStateError, match="^step 0 at t=0.0: ray stage velocity is not finite"):
+        trace_wavefront(model, XS, 8, 0.1, 0.1, scheme=scheme)
 
 
 def _one_block_march(scheme, model, n_rays, h, n_steps):
@@ -529,7 +380,7 @@ def _one_block_march(scheme, model, n_rays, h, n_steps):
 def test_block_march_is_bit_identical_to_one_block(monkeypatch, scheme, cpus):
     # two full blocks and a short one; three workers may outnumber the cores,
     # and a short switch interval interleaves them finely
-    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(eikonal, "usable_cpus", lambda: cpus)
     n, h = 2 * RAY_BLOCK + 5, math.pi / 50
     model = y31_model()
     interval = sys.getswitchinterval()
@@ -569,7 +420,7 @@ def _blockwise_failing_model(nan_from, fast_from):
 def test_block_march_errors_match_one_block(monkeypatch, cpus, nan_from, fast_from):
     # Each block alone fails otherwise: a NaN speed in the last block, too-large
     # arcs in the first two, at different steps or with a different largest arc.
-    monkeypatch.setattr(eikonal, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(eikonal, "usable_cpus", lambda: cpus)
     model = _blockwise_failing_model(nan_from, fast_from)
     n, h = 2 * RAY_BLOCK + 5, 0.1
     with pytest.raises((NonFiniteStateError, StepTooLargeError)) as want:
@@ -584,7 +435,7 @@ def test_block_march_imports_no_thread_pool():
     # the import inside its own time
     code = ("import sys\n"
             "from sphererk import eikonal\n"
-            "eikonal._usable_cpus = lambda: 2\n"
+            "eikonal.usable_cpus = lambda: 2\n"
             "eikonal.trace_wavefront(eikonal.constant_model(), (1.0, 0.0, 0.0), eikonal.RAY_BLOCK + 5, 0.1, 0.2)\n"
             "sys.exit('concurrent.futures' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(eikonal.__file__))

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from conftest import seeded_unit_vectors, unit_vectors
 from sphererk import vec
-from sphererk.errors import AntipodalPointsError, ZeroVectorError
-from sphererk.geometry import ANTIPODAL_LIMIT, exp_raw, geodesic_distance, project, slerp
+from sphererk.errors import AntipodalPointsError, NonFiniteStateError, ZeroVectorError
+from sphererk.geometry import ANTIPODAL_LIMIT, UNIT_NORM_TOL, exp_raw, geodesic_distance, project, slerp
 
 SQ2 = math.sqrt(0.5)
 
@@ -23,6 +23,31 @@ def test_project_diagonal():
 def test_project_zero_vector_rejected():
     with pytest.raises(ZeroVectorError):
         project((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("v,want", [
+    ((1e-160, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((2.3e-162, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((1e-300, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((1e200, 1e200, 0.0), (SQ2, SQ2, 0.0)),
+], ids=["1e-160", "2.3e-162", "1e-300", "5e-324", "1e200"])
+def test_project_lands_on_the_sphere_where_the_squares_underflow_or_overflow(v, want):
+    p = project(v)
+    assert abs(vec.norm(p) - 1.0) <= UNIT_NORM_TOL
+    assert vec.norm(vec.sub(p, want)) <= 1e-15
+
+
+@pytest.mark.parametrize("v,error", [
+    ((-0.0, 0.0, -0.0), ZeroVectorError),
+    ((math.nan, 0.0, 0.0), NonFiniteStateError),
+    ((0.0, -math.inf, 0.0), NonFiniteStateError),
+    ((1e200, math.nan, 0.0), NonFiniteStateError),
+    ((0.0, 0.0, math.nan), NonFiniteStateError),
+], ids=["signed-zero", "nan", "inf", "huge-and-nan", "nan-last"])
+def test_project_rejects_only_zero_and_non_finite_vectors(v, error):
+    with pytest.raises(error):
+        project(v)
 
 
 @pytest.mark.parametrize(

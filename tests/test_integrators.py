@@ -9,7 +9,13 @@ from conftest import last_state, rotate_about
 from sphererk import vec
 from sphererk.baselines import BASELINE_STEPPERS, BaselineId
 from sphererk.eikonal import VelocityModel, trace_wavefront
-from sphererk.errors import NonFiniteStateError, NonTangentVelocityError, SphereRKError, StepTooLargeError
+from sphererk.errors import (
+    AntipodalPointsError,
+    NonFiniteStateError,
+    NonTangentVelocityError,
+    SphereRKError,
+    StepTooLargeError,
+)
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
 from sphererk.geometry import HALF_PI, exp_raw, geodesic_distance, project, slerp
 from sphererk.integrators import (
@@ -356,6 +362,20 @@ def test_stvdrk_guard_at_half_pi():
     with pytest.raises(StepTooLargeError):
         stvdrk2_step(f, P0, 0.0, 1.0)  # arc = 2 > pi/2
     stvdrk2_step(f, P0, 0.0, 0.7)
+
+
+def test_stage_arc_bounds_are_exact():
+    # |f| = 1 at EQUATOR_P, so the stage arc is h itself: the bound fails, one ulp below passes
+    f = rigid_rotation_field(OMEGA)
+    below_pi, below_half_pi = math.nextafter(math.pi, 0.0), math.nextafter(HALF_PI, 0.0)
+    with pytest.raises(StepTooLargeError):
+        sfe_step(f, EQUATOR_P, 0.0, math.pi)
+    sfe_step(f, EQUATOR_P, 0.0, below_pi)
+    with pytest.raises(StepTooLargeError):
+        stvdrk2_step(f, EQUATOR_P, 0.0, HALF_PI)
+    # two quarter turns end antipodal to the start, where the SLERP fails instead
+    with pytest.raises(AntipodalPointsError):
+        stvdrk2_step(f, EQUATOR_P, 0.0, below_half_pi)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
