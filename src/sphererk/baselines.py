@@ -3,13 +3,15 @@
 These are the comparison schemes: Cartesian steppers that either ignore the
 sphere constraint (FE, RK2-4, TVDRK2-3), radially project the final stage
 (PFE, PRK2-4, PTVDRK2, PTVDRK3), or project every intermediate stage (the
-primed internal-projection variants PTVDRK2', PTVDRK3').  Each table entry
-is one of three constructions: ``_butcher_step`` on a Butcher tableau for
-RK2-4, listed as its rows A and weights b with the stage times c derived from
-the rows; ``integrators.tvdrk_step`` over forward Euler and linear
-interpolation for the TVDRK family (their projected forms for the primed
-variants); or ``_projected`` of another entry.  The table is declared as an
-unprojected and a projected half, and ``ON_SPHERE`` is the projected half.
+primed internal-projection variants PTVDRK2', PTVDRK3').
+``BASELINE_STEPPERS`` maps each name (``"fe"``, ..., ``"ptvdrk3p"`` for
+PTVDRK3') to its stepper.  Each entry is one of three constructions:
+``_butcher_step`` on a Butcher tableau for RK2-4, listed as its rows A and
+weights b with the stage times c derived from the rows;
+``integrators.tvdrk_step`` over forward Euler and linear interpolation for
+the TVDRK family (their projected forms for the primed variants); or
+``_projected`` of another entry.  The table is declared as an unprojected
+and a projected half, and ``ON_SPHERE`` is the projected half.
 
 The velocity field is always evaluated through the closest-point extension
 f(x, t) = f(x/|x|, t), so stage values slightly off the sphere remain legal
@@ -23,7 +25,6 @@ uses it only for reference endpoints, so no scheme under test grades itself.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import partial
 from typing import Dict
 
@@ -32,23 +33,6 @@ from .fields import VelocityField
 from .geometry import project
 from .integrators import Stepper, tvdrk_step
 from .vec import Vec3
-
-
-class BaselineId(str, Enum):
-    FE = "fe"
-    RK2 = "rk2"
-    RK3 = "rk3"
-    RK4 = "rk4"
-    TVDRK2 = "tvdrk2"
-    TVDRK3 = "tvdrk3"
-    PFE = "pfe"
-    PRK2 = "prk2"
-    PRK3 = "prk3"
-    PRK4 = "prk4"
-    PTVDRK2 = "ptvdrk2"
-    PTVDRK2P = "ptvdrk2p"
-    PTVDRK3 = "ptvdrk3"
-    PTVDRK3P = "ptvdrk3p"
 
 
 def _ext(f: VelocityField, x: Vec3, t: float) -> Vec3:
@@ -133,31 +117,31 @@ def _projected(step: Stepper) -> Stepper:
 
 # No entry binds ``project``: it is looked up when a step runs, so replacing
 # ``baselines.project`` (as perfbench's tracer does) reaches every projection.
-_UNPROJECTED: Dict[BaselineId, Stepper] = {
-    BaselineId.FE: _fe,
-    BaselineId.RK2: partial(_butcher_step, RK2_TABLEAU),
-    BaselineId.RK3: partial(_butcher_step, RK3_TABLEAU),
-    BaselineId.RK4: partial(_butcher_step, RK4_TABLEAU),
-    BaselineId.TVDRK2: partial(tvdrk_step, 2, _fe, _lerp),
-    BaselineId.TVDRK3: partial(tvdrk_step, 3, _fe, _lerp),
+_UNPROJECTED: Dict[str, Stepper] = {
+    "fe": _fe,
+    "rk2": partial(_butcher_step, RK2_TABLEAU),
+    "rk3": partial(_butcher_step, RK3_TABLEAU),
+    "rk4": partial(_butcher_step, RK4_TABLEAU),
+    "tvdrk2": partial(tvdrk_step, 2, _fe, _lerp),
+    "tvdrk3": partial(tvdrk_step, 3, _fe, _lerp),
 }
-_PROJECTED: Dict[BaselineId, Stepper] = {
-    BaselineId.PFE: _pfe,
-    BaselineId.PRK2: _projected(_UNPROJECTED[BaselineId.RK2]),
-    BaselineId.PRK3: _projected(_UNPROJECTED[BaselineId.RK3]),
-    BaselineId.PRK4: _projected(_UNPROJECTED[BaselineId.RK4]),
-    BaselineId.PTVDRK2: _projected(_UNPROJECTED[BaselineId.TVDRK2]),
-    BaselineId.PTVDRK2P: partial(tvdrk_step, 2, _pfe, _plerp),
-    BaselineId.PTVDRK3: _projected(_UNPROJECTED[BaselineId.TVDRK3]),
-    BaselineId.PTVDRK3P: partial(tvdrk_step, 3, _pfe, _plerp),
+_PROJECTED: Dict[str, Stepper] = {
+    "pfe": _pfe,
+    "prk2": _projected(_UNPROJECTED["rk2"]),
+    "prk3": _projected(_UNPROJECTED["rk3"]),
+    "prk4": _projected(_UNPROJECTED["rk4"]),
+    "ptvdrk2": _projected(_UNPROJECTED["tvdrk2"]),
+    "ptvdrk2p": partial(tvdrk_step, 2, _pfe, _plerp),
+    "ptvdrk3": _projected(_UNPROJECTED["tvdrk3"]),
+    "ptvdrk3p": partial(tvdrk_step, 3, _pfe, _plerp),
 }
-BASELINE_STEPPERS: Dict[BaselineId, Stepper] = {**_UNPROJECTED, **_PROJECTED}
+BASELINE_STEPPERS: Dict[str, Stepper] = {**_UNPROJECTED, **_PROJECTED}
 
 # Projected variants end every step on the sphere; the rest drift off it.
 ON_SPHERE = frozenset(_PROJECTED)
 
 
-def angle_recurrence(scheme: BaselineId, theta: float, h: float) -> float:
+def angle_recurrence(scheme: str, theta: float, h: float) -> float:
     """Great-circle angle recurrences of the internal-projection schemes.
 
     For motion on a great circle with angular velocity theta' = theta, a
@@ -172,12 +156,11 @@ def angle_recurrence(scheme: BaselineId, theta: float, h: float) -> float:
     order (the PTVDRK3' h^3 coefficient is -1/6 against the exact +1/6).
     """
     g = 1.0 + math.atan(h)
-    scheme = BaselineId(scheme)
-    if scheme == BaselineId.PFE:
+    if scheme == "pfe":
         factor = g
-    elif scheme == BaselineId.PTVDRK2P:
+    elif scheme == "ptvdrk2p":
         factor = 0.5 * (1.0 + g * g)
-    elif scheme == BaselineId.PTVDRK3P:
+    elif scheme == "ptvdrk3p":
         factor = (2.0 + 3.0 * g + g * g * g) / 6.0
     else:
         raise ValueError(f"no angle recurrence for scheme {scheme!r}")

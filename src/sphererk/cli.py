@@ -22,9 +22,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import eikonal, harness, pharmonic
-from .baselines import BaselineId
+from .baselines import BASELINE_STEPPERS
 from .errors import SphereRKError
-from .integrators import SchemeId
+from .integrators import STEPPERS
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
@@ -67,7 +67,7 @@ def _snapshot_times(args) -> Optional[List[float]]:
 
 
 def all_scheme_names() -> List[str]:
-    return [s.value for s in SchemeId] + [b.value for b in BaselineId]
+    return [*STEPPERS, *BASELINE_STEPPERS]
 
 
 def _cmd_converge(args) -> int:

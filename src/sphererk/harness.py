@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import vec
-from .baselines import BASELINE_STEPPERS, ON_SPHERE, BaselineId, angle_recurrence, rk6_step
+from .baselines import BASELINE_STEPPERS, ON_SPHERE, angle_recurrence, rk6_step
 from .errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError, SphereRKError
 from .fields import (
     STABILITY_MATRIX,
@@ -31,10 +31,8 @@ from .fields import (
 )
 # slerp is not called here: perfbench/tracer.py patches it as a harness attribute
 from .geometry import UNIT_NORM_TOL, UnitVector3, check_on_sphere, project, slerp  # noqa: F401
-from .integrators import STEPPERS, SchemeId, integrate_steps
+from .integrators import STEPPERS, integrate_steps
 from .vec import Vec3
-
-AnyScheme = Union[SchemeId, BaselineId]
 
 DEFAULT_H_LIST: Tuple[float, ...] = tuple(0.1 * 2.0**-k for k in range(6))
 
@@ -93,22 +91,20 @@ def rotation_problem() -> Problem:
     return Problem(rigid_rotation_field((1.0, 0.0, 0.0)), (0.0, 0.0, 1.0), 2.0)
 
 
-def resolve_scheme(name: Union[str, AnyScheme]) -> AnyScheme:
-    try:
-        return SchemeId(name)
-    except ValueError:
-        return BaselineId(name)
+def resolve_scheme(name: str) -> str:
+    """``name`` if ``STEPPERS`` or ``BASELINE_STEPPERS`` holds it, else ValueError."""
+    if name in STEPPERS or name in BASELINE_STEPPERS:
+        return name
+    raise ValueError(f"unknown scheme {name!r}")
 
 
-def scheme_stepper(scheme: AnyScheme):
+def scheme_stepper(scheme: str):
     """The table entry of a resolved scheme, looked up when a run starts."""
-    if isinstance(scheme, SchemeId):
-        return STEPPERS[scheme]
-    return BASELINE_STEPPERS[scheme]
+    return STEPPERS[scheme] if scheme in STEPPERS else BASELINE_STEPPERS[scheme]
 
 
-def stays_on_sphere(scheme: AnyScheme) -> bool:
-    return isinstance(scheme, SchemeId) or scheme in ON_SPHERE
+def stays_on_sphere(scheme: str) -> bool:
+    return scheme in STEPPERS or scheme in ON_SPHERE
 
 
 def _usable_rows(rows: Sequence[Tuple[float, float]], floor: float, cap: float,
@@ -210,7 +206,7 @@ def reference_endpoint(problem: Problem) -> Reference:
 
 
 def run_convergence(
-    scheme: Union[str, AnyScheme],
+    scheme: str,
     problem: Problem,
     h_list: Sequence[float] = DEFAULT_H_LIST,
 ) -> ConvergenceReport:
@@ -247,7 +243,7 @@ def run_convergence(
             f"of the smallest fitted error {smallest!r}"
         )
     return ConvergenceReport(
-        scheme=scheme.value,
+        scheme=scheme,
         rows=tuple(rows),
         order_e2=order_e2,
         order_enorm=_fit_asymptotic([(r.h, r.enorm) for r in rows]),
@@ -285,7 +281,7 @@ def _attractor_distance(p: Vec3) -> float:
 
 
 def run_stability(
-    scheme: Union[str, AnyScheme],
+    scheme: str,
     h: float,
     n_steps: int = 500,
     q0: Optional[UnitVector3] = None,
@@ -310,7 +306,7 @@ def run_stability(
     steps = integrate_steps(scheme_stepper(scheme), f, x0, 0.0, n_steps * h, h)
     distances = [_attractor_distance(x) for _, x in steps]
     verdict = "converged" if distances[-1] < CONVERGENCE_CUTOFF else "diverged"
-    return StabilityRun(scheme.value, h, tuple(distances), verdict)
+    return StabilityRun(scheme, h, tuple(distances), verdict)
 
 
 # --- appendix verifications ------------------------------------------------
@@ -402,21 +398,20 @@ def verify_appendix_b() -> AppendixBReport:
     and 2 (both primed TVDRK schemes).  The PTVDRK3' third-order coefficient
     is -1/6 against the exact +1/6, a leading defect of -1/3.
     """
-    schemes = (BaselineId.PFE, BaselineId.PTVDRK2P, BaselineId.PTVDRK3P)
     t_final = 1.0
     exact = math.exp(t_final)
     orders: Dict[str, float] = {}
-    for scheme in schemes:
+    for scheme in ("pfe", "ptvdrk2p", "ptvdrk3p"):
         step = lambda _f, th, _t, k: angle_recurrence(scheme, th, k)  # noqa: E731
         rows = []
         for h in DEFAULT_H_LIST:
             for _, theta in integrate_steps(step, None, 1.0, 0.0, t_final, h):
                 pass
             rows.append((h, abs(theta - exact)))
-        orders[scheme.value] = fit_order(rows, floor=0.0, cap=math.inf)
+        orders[scheme] = fit_order(rows, floor=0.0, cap=math.inf)
 
     def c3(h: float) -> float:
-        return (angle_recurrence(BaselineId.PTVDRK3P, 1.0, h) - math.exp(h)) / h**3
+        return (angle_recurrence("ptvdrk3p", 1.0, h) - math.exp(h)) / h**3
 
     h0 = 1e-2
     coeff = 2.0 * c3(h0 / 2.0) - c3(h0)  # eliminate the O(h) contamination

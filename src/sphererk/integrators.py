@@ -13,6 +13,9 @@ stage and every output on the unit sphere by construction:
   combination of ``sssprk104-frechet``), which the benchmark harness
   documents.
 
+``STEPPERS`` maps each scheme's name (``"sfe"``, ..., ``"sssprk104-frechet"``)
+to its stepper: a sphere scheme exists when it has a key there.
+
 The same construction fixes each stage's time: an exp-map substep with
 coefficient beta from a point at time c lands at c + beta, and
 SLERP(a, b, w) lands at (1 - w) c_a + w c_b.  Every stepper evaluates its
@@ -33,7 +36,6 @@ those at the step indices ``snapshot_steps`` picks.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -48,19 +50,6 @@ Stepper = Callable[[VelocityField, UnitVector3, float, float], UnitVector3]
 # A spherical convex combination: (weight, point) pairs with nonnegative
 # weights summing to 1.
 WeightedPoints = Sequence[Tuple[float, Vec3]]
-
-
-class SchemeId(str, Enum):
-    SFE = "sfe"
-    STVDRK2 = "stvdrk2"
-    STVDRK3 = "stvdrk3"
-    STVDRK4 = "stvdrk4"
-    SSSPRK54 = "sssprk54"
-    SSSPRK104 = "sssprk104"
-    # Variant of SSSPRK104 whose convex combinations use the projected
-    # average instead of progressive SLERP; needed to reproduce the order-2
-    # result.
-    SSSPRK104_FRECHET = "sssprk104-frechet"
 
 
 def _advance(p: Vec3, v: Vec3, eff_h: float, limit: float) -> UnitVector3:
@@ -182,10 +171,10 @@ def _ssprk104_table(first: tuple, *last: tuple) -> StageTable:
     return stage_table(*sixths[:5], first, *sixths[5:], *last)
 
 
-STAGE_TABLES: dict[SchemeId, StageTable] = {
+STAGE_TABLES: dict[str, StageTable] = {
     # eight exp maps and six SLERPs; the fields of points 0, 1, 4 and 9 are
     # evaluated, at times 0, 1/2, 1/2 and 1
-    SchemeId.STVDRK4: stage_table(
+    "stvdrk4": stage_table(
         ("exp", 0, 0.500000000000000),
         ("exp", 0, -1.065687335761845), ("exp", 1, 1.068486941019387), ("slerp", 2, 3, 0.594375000000000),
         ("exp", 0, -0.947054029524533), ("exp", 1, -1.065495848810696), ("exp", 4, 1.066666666666667),
@@ -196,7 +185,7 @@ STAGE_TABLES: dict[SchemeId, StageTable] = {
     # five stages; the printed 15-digit coefficients are consistent only to
     # ~1e-11: the output lands at time 1 - 8.8e-11, the source of the ~1e-10
     # error floor under time-step refinement
-    SchemeId.SSSPRK54: stage_table(
+    "sssprk54": stage_table(
         ("exp", 0, 0.39175222700392), ("exp", 1, 0.663050807590193), ("slerp", 0, 2, 0.55562950593266),
         ("exp", 3, 0.663050807607172), ("slerp", 0, 4, 0.37989814861460),
         ("exp", 5, 0.663050807601060), ("slerp", 0, 6, 0.82192004589227),
@@ -204,13 +193,13 @@ STAGE_TABLES: dict[SchemeId, StageTable] = {
         ("slerp", 10, 8, 0.195804064212316), ("slerp", 11, 9, 0.348336757736944)),
     # the SLERP weights 0.4, 0.9, 0.6 are the fold parameters of the convex
     # combinations 0.6 p + 0.4 q_5 and 0.04 p + 0.36 q_5 + 0.6 q_11
-    SchemeId.SSSPRK104: _ssprk104_table(("slerp", 0, 5, 0.4), ("slerp", 0, 5, 0.9), ("slerp", 12, 11, 0.6)),
+    "sssprk104": _ssprk104_table(("slerp", 0, 5, 0.4), ("slerp", 0, 5, 0.9), ("slerp", 12, 11, 0.6)),
     # the same combinations as projected averages, the fast stand-in for their
     # Frechet mean, whose defect caps the scheme at second order; a weighted
     # Karcher mean in their place fit 3.27 -> 3.04 -> 2.85 on vortex4 at
     # h = 0.1/2^0..5, a one-off measurement that no test gates
-    SchemeId.SSSPRK104_FRECHET: _ssprk104_table(("mean", ((0.6, 0), (0.4, 5))),
-                                                ("mean", ((0.04, 0), (0.36, 5), (0.6, 11)))),
+    "sssprk104-frechet": _ssprk104_table(("mean", ((0.6, 0), (0.4, 5))),
+                                         ("mean", ((0.04, 0), (0.36, 5), (0.6, 11)))),
 }
 
 
@@ -227,10 +216,10 @@ def projected_mean(weighted_points: WeightedPoints) -> UnitVector3:
     return project(acc)
 
 
-STEPPERS: dict[SchemeId, Stepper] = {
-    SchemeId.SFE: sfe_step,
-    SchemeId.STVDRK2: stvdrk2_step,
-    SchemeId.STVDRK3: stvdrk3_step,
+STEPPERS: dict[str, Stepper] = {
+    "sfe": sfe_step,
+    "stvdrk2": stvdrk2_step,
+    "stvdrk3": stvdrk3_step,
     **{scheme: partial(stage_step, table) for scheme, table in STAGE_TABLES.items()},
 }
 

@@ -3,16 +3,15 @@
 ``write_wavefronts_csv`` formats its first run of slices in this process and
 hands each other run to a child interpreter running this file as ``python -I
 -S wavefront_rows.py``, so the file's top level imports only the standard
-library.  Every process formats a packed slice: its six columns x, y, z, kx,
-ky, kz of n native float64 values each, one after another.  On a child's
-stdin a slice is a ``t j0 n`` line (the front's t cell, the first ray index
-and the row count) and then its packed values.  A child reads all of stdin
-before it formats anything, and writes the rows to stdout as ASCII bytes.
+library.  Every process formats a packed slice: a float64 memoryview of its
+six columns x, y, z, kx, ky, kz of n values each, one after another.  On a
+child's stdin a slice is a ``t j0 n`` line (the front's t cell, the first ray
+index and the row count) and then its packed values.  A child reads all of
+stdin, raising EOFError on a short slice, before it writes any ASCII row.
 """
 
 import os
 import sys
-from array import array
 from itertools import chain, repeat
 
 COLUMNS = 6
@@ -30,7 +29,7 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def format_slice(t: str, j0: int, values: array) -> str:
+def format_slice(t: str, j0: int, values: memoryview) -> str:
     """Rows j0, j0 + 1, ... of a front whose t cell is ``t``.
 
     ``values`` is one packed slice: the six columns of its n rows, n float64
@@ -49,9 +48,7 @@ def format_slice(t: str, j0: int, values: array) -> str:
 def _packed(run):
     """Each slice (t, j0, x, k) of a run as (t, j0, values), packed when it is reached."""
     for t, j0, x, k in run:
-        values = array("d", x.T.tobytes())
-        values.frombytes(k.T.tobytes())
-        yield t, j0, values
+        yield t, j0, memoryview(x.T.tobytes() + k.T.tobytes()).cast("d")
 
 
 def write_wavefronts_csv(path, fronts) -> None:
@@ -128,9 +125,11 @@ def main() -> None:
     slices = []
     for line in iter(inp.readline, b""):
         t, j0, n = line.decode("ascii").split()
-        values = array("d")
-        values.fromfile(inp, COLUMNS * int(n))
-        slices.append((t, int(j0), values))
+        size = 8 * COLUMNS * int(n)
+        packed = inp.read(size)
+        if len(packed) < size:
+            raise EOFError(f"slice at ray {j0} ends after {len(packed)} of its {size} bytes")
+        slices.append((t, int(j0), memoryview(packed).cast("d")))
     for t, j0, values in slices:
         out.write(format_slice(t, j0, values).encode("ascii"))
 

@@ -14,10 +14,10 @@ import pytest
 from conftest import last_state, rotate_about, seam_indices, seeded_unit_vectors
 from quaternion_oracle import quat_slerp
 from sphererk import eikonal, harness, pharmonic, vec
-from sphererk.baselines import BASELINE_STEPPERS, BaselineId
+from sphererk.baselines import BASELINE_STEPPERS
 from sphererk.fields import rigid_rotation_field, stability_interval
 from sphererk.geometry import ANTIPODAL_LIMIT, geodesic_distance, slerp
-from sphererk.integrators import STEPPERS, SchemeId, integrate_steps
+from sphererk.integrators import STEPPERS, integrate_steps
 from wavefront_error import wavefront_E2
 
 XS = (1.0, 0.0, 0.0)
@@ -104,7 +104,7 @@ def test_c03_fourth_order_negative_result(fourth_order_reports):
 def test_c03_ssprk54_error_floor():
     prob = harness.vortex_problem()
     ref = harness.reference_endpoint(prob).endpoint
-    step = STEPPERS[SchemeId.SSSPRK54]
+    step = STEPPERS["sssprk54"]
     errs = []
     for h in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4):
         end = last_state(integrate_steps(step, prob.f, prob.p0, 0.0, prob.t_final, h))
@@ -220,13 +220,13 @@ def test_c08_great_circle_exactness():
     p = (0.0, 0.0, 1.0)
     hs = [0.1, 0.5, 1.0, 1.3, 0.9 * math.pi / 2]
     per_step_worst = 0.0
-    for scheme in (SchemeId.SFE, SchemeId.STVDRK2, SchemeId.STVDRK3):
+    for scheme in ("sfe", "stvdrk2", "stvdrk3"):
         step = STEPPERS[scheme]
         for h in hs:
             err = vec.norm(vec.sub(step(f, p, 0.0, h), rotate_about(omega, p, h)))
             per_step_worst = max(per_step_worst, err)
     revolution_worst = 0.0
-    for scheme in (SchemeId.SFE, SchemeId.STVDRK2, SchemeId.STVDRK3):
+    for scheme in ("sfe", "stvdrk2", "stvdrk3"):
         end = last_state(integrate_steps(STEPPERS[scheme], f, p, 0.0, 2.0 * math.pi, math.pi / 100.0))
         revolution_worst = max(revolution_worst, vec.norm(vec.sub(end, p)))
     announce(
@@ -335,12 +335,12 @@ def test_c12_structural_equivalence():
     x = prob.p0
     max_gap = 0.0
     for i in range(20):
-        a = BASELINE_STEPPERS[BaselineId.PTVDRK2](prob.f, x, i * 0.1, 0.1)
-        b = BASELINE_STEPPERS[BaselineId.PRK2](prob.f, x, i * 0.1, 0.1)
+        a = BASELINE_STEPPERS["ptvdrk2"](prob.f, x, i * 0.1, 0.1)
+        b = BASELINE_STEPPERS["prk2"](prob.f, x, i * 0.1, 0.1)
         max_gap = max(max_gap, vec.norm(vec.sub(a, b)))
         x = a
-    primed = BASELINE_STEPPERS[BaselineId.PTVDRK2P](prob.f, prob.p0, 0.0, 0.1)
-    plain = BASELINE_STEPPERS[BaselineId.PTVDRK2](prob.f, prob.p0, 0.0, 0.1)
+    primed = BASELINE_STEPPERS["ptvdrk2p"](prob.f, prob.p0, 0.0, 0.1)
+    plain = BASELINE_STEPPERS["ptvdrk2"](prob.f, prob.p0, 0.0, 0.1)
     primed_gap = vec.norm(vec.sub(primed, plain))
     announce(
         "criterion-12 (PTVDRK2 == PRK2 to 1e-13; PTVDRK2' differs by > 1e-12)",

@@ -206,6 +206,21 @@ def test_bad_step_settings_are_usage_errors(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--problem", "vortex4", "--scheme", "bogus", "--h", "0.1"],
+    # a typo of a sphere scheme is named as given, not as a missing baseline
+    ["stability", "--scheme", "stvdrk5", "--h", "0.1", "--steps", "3"],
+], ids=["converge", "stability"])
+def test_unknown_scheme_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    name = argv[argv.index("--scheme") + 1]
+    assert captured.err == f"sphererk: error: unknown scheme {name!r}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 

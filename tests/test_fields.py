@@ -158,9 +158,9 @@ def test_stability_interval_order3_root():
 
 
 def test_projected_linear_trajectories_stay_on_sphere():
-    from sphererk.integrators import STEPPERS, SchemeId, integrate_steps
+    from sphererk.integrators import STEPPERS, integrate_steps
 
     g = projected_linear_field(STABILITY_MATRIX)
-    steps = integrate_steps(STEPPERS[SchemeId.STVDRK3], g, project((1.0, 1.0, 1.0)), 0.0, 2.0, 1e-3)
+    steps = integrate_steps(STEPPERS["stvdrk3"], g, project((1.0, 1.0, 1.0)), 0.0, 2.0, 1e-3)
     worst = max(abs(vec.norm(p) - 1.0) for _, p in steps)
     assert worst <= 1e-10

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import last_state, rotate_about
-from sphererk import harness, vec
-from sphererk.baselines import BaselineId, rk6_step
+from sphererk import cli, harness, vec
+from sphererk.baselines import ON_SPHERE, rk6_step
 from sphererk.errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError
 from sphererk.fields import VORTEX4_CENTERS, VortexConfig
 from sphererk.geometry import UNIT_NORM_TOL, project
-from sphererk.integrators import SchemeId, integrate_steps
+from sphererk.integrators import integrate_steps
 from sphererk.harness import (
     EXPECTED_E2_ORDER,
     EXPECTED_ENORM_ORDER,
@@ -347,9 +347,9 @@ def test_appendix_a_verdict_fails_on_each_condition_alone(monkeypatch, dc2, dc4,
 # exp(h) + h^(p + 1.2) has global order p + 0.2, and adding d h^3 to a
 # PTVDRK3' step moves its h^3 coefficient by d, here 6% of 1/3.
 @pytest.mark.parametrize("scheme, order, extra", [
-    (BaselineId.PFE, 1.2, None),
-    (BaselineId.PTVDRK2P, 2.2, None),
-    (BaselineId.PTVDRK3P, 2.0, -0.02),
+    ("pfe", 1.2, None),
+    ("ptvdrk2p", 2.2, None),
+    ("ptvdrk3p", 2.0, -0.02),
 ], ids=["pfe-order", "ptvdrk2p-order", "ptvdrk3p-coefficient"])
 def test_appendix_b_verdict_fails_on_each_condition_alone(monkeypatch, scheme, order, extra):
     real = harness.angle_recurrence
@@ -363,21 +363,30 @@ def test_appendix_b_verdict_fails_on_each_condition_alone(monkeypatch, scheme, o
 
     monkeypatch.setattr(harness, "angle_recurrence", recurrence)
     rep = verify_appendix_b()
-    expected = {"pfe": 1.0, "ptvdrk2p": 2.0, "ptvdrk3p": 2.0, scheme.value: order}
+    expected = {"pfe": 1.0, "ptvdrk2p": 2.0, "ptvdrk3p": 2.0, scheme: order}
     assert rep.orders == pytest.approx(expected, abs=0.05)
     assert rep.ptvdrk3p_h3_coefficient == pytest.approx(-1.0 / 3.0 + (extra or 0.0), abs=1e-4)
     assert not rep.passed
 
 
-@pytest.mark.parametrize("member", [SchemeId.STVDRK3, BaselineId.PFE, BaselineId.FE])
-def test_resolve_scheme_returns_a_member_itself(member):
-    assert resolve_scheme(member) is member
-    assert resolve_scheme(member.value) is member
+SPHERE_SCHEMES = ["sfe", "stvdrk2", "stvdrk3", "stvdrk4", "sssprk54", "sssprk104", "sssprk104-frechet"]
+PROJECTED = ["pfe", "prk2", "prk3", "prk4", "ptvdrk2", "ptvdrk2p", "ptvdrk3", "ptvdrk3p"]
+UNPROJECTED = ["fe", "rk2", "rk3", "rk4", "tvdrk2", "tvdrk3"]
+
+
+def test_scheme_names_are_pinned():
+    # the stepper tables are the only list of names; their order is the row
+    # order of the converge-all CSV and the list in converge --help
+    assert cli.all_scheme_names() == SPHERE_SCHEMES + UNPROJECTED + PROJECTED
+    assert ON_SPHERE == set(PROJECTED)
+    assert [n for n in cli.all_scheme_names() if harness.stays_on_sphere(n)] == SPHERE_SCHEMES + PROJECTED
 
 
 def test_resolve_unknown_scheme():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown scheme 'nope'$"):
         run_convergence("nope", vortex_problem(), H4)
+    with pytest.raises(ValueError, match="^unknown scheme 'stvdrk5'$"):
+        run_stability("stvdrk5", 0.1, n_steps=3)
 
 
 def test_reference_failure_is_wrapped():

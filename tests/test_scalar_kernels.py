@@ -25,7 +25,7 @@ from sphererk.fields import (
 )
 from sphererk.geometry import SMALL_ANGLE, exp_raw, geodesic_distance, project, slerp
 from sphererk.harness import _attractor_distance, run_stability
-from sphererk.integrators import STEPPERS, SchemeId, _advance, stvdrk3_step
+from sphererk.integrators import STEPPERS, _advance, stvdrk3_step
 
 N = 1000
 
@@ -167,7 +167,7 @@ def test_scalar_points_are_plain_tuples():
         slerp(p, near, 0.3),
         project((2.0, 0.0, 0.0)),
     ]
-    points += [STEPPERS[s](vortex4_field(), (1.0, 0.0, 0.0), 0.0, 0.1) for s in SchemeId]
+    points += [step(vortex4_field(), (1.0, 0.0, 0.0), 0.0, 0.1) for step in STEPPERS.values()]
     for point in points:
         assert type(point) is tuple and len(point) == 3
 

@@ -1,6 +1,6 @@
 """Every step stays on the sphere or fails loudly, whatever the field returns.
 
-One step of every ``SchemeId`` and of every on-sphere baseline runs on a rigid
+One step of every sphere scheme and of every on-sphere baseline runs on a rigid
 rotation with one component of one stage's velocity replaced by a signed
 zero, a subnormal, a huge, an infinite or a NaN value.  The step must return
 a plain tuple of three floats of unit norm to UNIT_NORM_TOL, or raise a
@@ -22,10 +22,11 @@ from sphererk.baselines import BASELINE_STEPPERS, ON_SPHERE
 from sphererk.errors import SphereRKError
 from sphererk.fields import rigid_rotation_field
 from sphererk.geometry import UNIT_NORM_TOL
-from sphererk.integrators import STAGE_TABLES, SchemeId
+from sphererk.integrators import STAGE_TABLES
 
-STEPPERS = {s.value: integrators.STEPPERS[s] for s in SchemeId}
-STEPPERS.update({b.value: BASELINE_STEPPERS[b] for b in ON_SPHERE})
+# a copy: updating the table itself would add the baselines to the sphere schemes
+STEPPERS = dict(integrators.STEPPERS)
+STEPPERS.update({b: BASELINE_STEPPERS[b] for b in ON_SPHERE})
 BAD_VALUES = (0.0, -0.0, 1e-320, 1e308, math.inf, -math.inf, math.nan)
 
 
@@ -71,10 +72,10 @@ def test_step_is_on_sphere_or_raises_typed_error(name, p, omega, h, stage, compo
 
 # Exp maps, SLERPs, projections and field evaluations of one step.
 STAGE_COUNTS = {
-    SchemeId.STVDRK4: (8, 6, 0, 4),
-    SchemeId.SSSPRK54: (6, 6, 0, 5),
-    SchemeId.SSSPRK104: (10, 3, 0, 10),
-    SchemeId.SSSPRK104_FRECHET: (10, 0, 2, 10),
+    "stvdrk4": (8, 6, 0, 4),
+    "sssprk54": (6, 6, 0, 5),
+    "sssprk104": (10, 3, 0, 10),
+    "sssprk104-frechet": (10, 0, 2, 10),
 }
 
 
@@ -84,7 +85,7 @@ def _table_counts(table):
     return kinds.count("exp"), kinds.count("slerp"), kinds.count("mean"), len(evaluated)
 
 
-@pytest.mark.parametrize("scheme", list(STAGE_COUNTS), ids=lambda s: s.value)
+@pytest.mark.parametrize("scheme", list(STAGE_COUNTS))
 def test_step_counts_equal_the_table_counts(scheme, monkeypatch):
     # each point's field is evaluated once however many substeps start from it
     calls = {"exp_raw": 0, "slerp": 0, "project": 0}
@@ -95,6 +96,6 @@ def test_step_counts_equal_the_table_counts(scheme, monkeypatch):
 
         monkeypatch.setattr(integrators, name, counted)
     f = CorruptedRotation((0.3, -0.5, 0.8))
-    STEPPERS[scheme.value](f, (1.0, 0.0, 0.0), 0.0, 0.1)
+    STEPPERS[scheme](f, (1.0, 0.0, 0.0), 0.0, 0.1)
     got = (calls["exp_raw"], calls["slerp"], calls["project"], next(f.calls))
     assert got == _table_counts(STAGE_TABLES[scheme]) == STAGE_COUNTS[scheme]

@@ -3,7 +3,6 @@
 import math
 import subprocess
 import sys
-from array import array
 
 import numpy as np
 import pytest
@@ -183,7 +182,7 @@ def test_the_parent_formats_packed_slices(monkeypatch, tmp_path, formatters):
     real = wavefront_rows.format_slice
 
     def spy(t, j0, values):
-        seen.append((type(values), values.typecode, len(values)))
+        seen.append((type(values), values.format, len(values)))
         return real(t, j0, values)
 
     monkeypatch.setattr(wavefront_rows, "CSV_CHUNK_ROWS", 4)
@@ -195,7 +194,7 @@ def test_the_parent_formats_packed_slices(monkeypatch, tmp_path, formatters):
     assert out.read_bytes() == _row_formula(fronts)
     assert len(formatters) == 1
     # 2 workers cut the 6 slices at front 0's end: its slices of 4, 4 and 2 rows
-    assert seen == [(array, "d", 6 * 4), (array, "d", 6 * 4), (array, "d", 6 * 2)]
+    assert seen == [(memoryview, "d", 6 * 4), (memoryview, "d", 6 * 4), (memoryview, "d", 6 * 2)]
 
 
 def test_formatter_child_imports_only_the_standard_library():
@@ -208,5 +207,18 @@ def test_formatter_child_imports_only_the_standard_library():
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()
                 if line.startswith("import time:")}
     assert imported, proc.stderr  # the log was read
-    forbidden = {"numpy", "subprocess", "tempfile", "shutil", "contextlib", "pathlib", "threading"}
+    forbidden = {"numpy", "subprocess", "tempfile", "shutil", "contextlib", "pathlib", "threading",
+                 "array", "collections"}
     assert imported.isdisjoint(forbidden)
+
+
+@pytest.mark.parametrize("size", [3, 8])
+def test_formatter_child_rejects_a_truncated_slice(size):
+    # a one-row slice is 48 bytes: 3 bytes are no float64, and 8 bytes are one
+    # that must not be formatted as if it were the whole row
+    packed = np.arange(6, dtype=np.float64).tobytes()[:size]
+    proc = subprocess.run([sys.executable, "-I", "-S", wavefront_rows.__file__],
+                          input=b"0.5 0 1\n" + packed, capture_output=True)
+    assert proc.returncode != 0
+    assert proc.stdout == b""
+    assert b"EOFError" in proc.stderr
