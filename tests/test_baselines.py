@@ -28,6 +28,15 @@ P0 = (1.0, 0.0, 0.0)
 ZERO_FIELD = VelocityField(lambda p, t: (0.0, 0.0, 0.0), name="zero")
 
 
+def test_registry_is_complete():
+    # six unprojected tableaus, then eight projected ones; only those stay on the sphere
+    assert list(BASELINE_STEPPERS) == ["fe", "rk2", "rk3", "rk4", "tvdrk2", "tvdrk3",
+                                       "pfe", "prk2", "prk3", "prk4",
+                                       "ptvdrk2", "ptvdrk2p", "ptvdrk3", "ptvdrk3p"]
+    assert ON_SPHERE == set(list(BASELINE_STEPPERS)[6:])
+    assert all(callable(step) for step in BASELINE_STEPPERS.values())
+
+
 @pytest.mark.parametrize("scheme", list(BASELINE_STEPPERS))
 def test_zero_field_fixes_every_scheme(scheme):
     x = (0.6, 0.0, 0.8)

@@ -541,6 +541,13 @@ def test_endpoint_matches_fine_reference():
     assert vec.norm(vec.sub(end, ref)) < 1e-8
 
 
+def test_steppers_registry_is_complete():
+    # the three hand-written steppers plus one entry per stage table
+    assert list(STEPPERS) == ["sfe", "stvdrk2", "stvdrk3", *STAGE_TABLES]
+    assert list(STAGE_TABLES) == ["stvdrk4", "sssprk54", "sssprk104", "sssprk104-frechet"]
+    assert all(callable(step) for step in STEPPERS.values())
+
+
 NAN_FIELD = VelocityField(lambda p, t: (math.nan, math.nan, math.nan), name="nan")
 
 
