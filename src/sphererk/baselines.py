@@ -20,11 +20,11 @@ vectors, unprojected ones generally do not.
 
 ``rk6_step`` (Butcher's sixth-order method) is not a baseline: the harness
 uses it only for reference endpoints, so no scheme under test grades itself.
+The harness's Appendix A norm model steps the ``tvdrk2`` entry itself.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Dict
 
@@ -139,29 +139,3 @@ BASELINE_STEPPERS: Dict[str, Stepper] = {**_UNPROJECTED, **_PROJECTED}
 
 # Projected variants end every step on the sphere; the rest drift off it.
 ON_SPHERE = frozenset(_PROJECTED)
-
-
-def angle_recurrence(scheme: str, theta: float, h: float) -> float:
-    """Great-circle angle recurrences of the internal-projection schemes.
-
-    For motion on a great circle with angular velocity theta' = theta, a
-    projected forward-Euler step multiplies the angle by g = 1 + arctan(h);
-    the primed TVDRK variants compose g through their stage structure:
-
-    * PFE:       theta -> g theta
-    * PTVDRK2':  theta -> (1 + g^2)/2 theta
-    * PTVDRK3':  theta -> (2 + 3 g + g^3)/6 theta
-
-    Expanding g shows PFE is first order and both primed schemes are second
-    order (the PTVDRK3' h^3 coefficient is -1/6 against the exact +1/6).
-    """
-    g = 1.0 + math.atan(h)
-    if scheme == "pfe":
-        factor = g
-    elif scheme == "ptvdrk2p":
-        factor = 0.5 * (1.0 + g * g)
-    elif scheme == "ptvdrk3p":
-        factor = (2.0 + 3.0 * g + g * g * g) / 6.0
-    else:
-        raise ValueError(f"no angle recurrence for scheme {scheme!r}")
-    return factor * theta

@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eikonal", help="surface-eikonal wavefront tracing")
     p.add_argument("--velocity", choices=sorted(eikonal.MODELS), required=True)
-    p.add_argument("--scheme", choices=eikonal.COUPLED_SCHEMES, default="stvdrk3",
+    p.add_argument("--scheme", choices=list(eikonal.COUPLED_STEPPERS), default="stvdrk3",
                    help="coupled scheme; sfe, stvdrk2, stvdrk3 are the sphere-intrinsic ones")
     p.add_argument("--rays", type=int, default=512)
     p.add_argument("--dt", type=float, required=True)

@@ -209,7 +209,6 @@ COUPLED_STEPPERS = {
     "tvdrk3": partial(tvdrk_step, 3, _axpy_pair, _lerp_pair),
     "ptvdrk3": _projected(partial(tvdrk_step, 3, _axpy_pair, _lerp_pair)),
 }
-COUPLED_SCHEMES = tuple(COUPLED_STEPPERS)
 
 _ORDER_TO_SCHEME = {1: "sfe", 2: "stvdrk2", 3: "stvdrk3"}
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import vec
-from .baselines import BASELINE_STEPPERS, ON_SPHERE, angle_recurrence, rk6_step
+from .baselines import BASELINE_STEPPERS, ON_SPHERE, rk6_step
 from .errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError, SphereRKError
 from .fields import (
     STABILITY_MATRIX,
@@ -31,7 +32,7 @@ from .fields import (
 )
 # slerp is not called here: perfbench/tracer.py patches it as a harness attribute
 from .geometry import UNIT_NORM_TOL, UnitVector3, check_on_sphere, project, slerp  # noqa: F401
-from .integrators import STEPPERS, integrate_steps
+from .integrators import STEPPERS, integrate_steps, tvdrk_step
 from .vec import Vec3
 
 DEFAULT_H_LIST: Tuple[float, ...] = tuple(0.1 * 2.0**-k for k in range(6))
@@ -109,6 +110,8 @@ def stays_on_sphere(scheme: str) -> bool:
 
 def _usable_rows(rows: Sequence[Tuple[float, float]], floor: float, cap: float,
                  finest: Optional[int]) -> List[Tuple[float, float]]:
+    if finest is not None and finest < 1:
+        raise ValueError(f"finest must be None or >= 1, got {finest!r}")
     usable = [(h, err) for h, err in rows if floor < err <= cap]
     return usable if finest is None else usable[-finest:]
 
@@ -121,9 +124,10 @@ def fit_order(rows: Sequence[Tuple[float, float]],
 
     Rows at the round-off floor (err <= ``floor``) and pre-asymptotic rows
     (err > ``cap``) are excluded before fitting; with ``finest`` set only the
-    last ``finest`` usable rows are fitted.  Raises NonFiniteStateError on NaN
-    or infinite error values, NonPositiveError on negative ones, ValueError on
-    a step size not finite and > 0 or fewer than three distinct usable ones.
+    last ``finest`` (None or >= 1) usable rows are fitted.  Raises
+    NonFiniteStateError on NaN or infinite error values, NonPositiveError on
+    negative ones, ValueError on a ``finest`` below 1, a step size not finite
+    and > 0 or fewer than three distinct usable ones.
     """
     if not all(math.isfinite(err) for _, err in rows):
         raise NonFiniteStateError("error values must be finite")
@@ -313,17 +317,18 @@ def run_stability(
 
 
 def tvdrk2_planar_norm(a: float, b: float, h: float) -> float:
-    """Norm of one planar TVDRK2 step with stage speeds a and b.
+    """Norm of one ``tvdrk2`` baseline step from (0, -1, 0) with stage speeds a and b.
 
-    Exact plane construction: start at (0, -1), step a*h along the tangent,
-    then b*h perpendicular to the new radius, then average with the start
-    point.  The norm expands as
-    1 + (a-b)^2 h^2 / 8 - ((a-b)^4 + 16 a^3 b) h^4 / 128 + O(h^6).
+    The step runs on the planar field (-s y, s x, 0), evaluated at x/|x|, with
+    s = a at the first stage (t = 0) and s = b at the second (t = h).  Its
+    norm is 1 + (a-b)^2 h^2 / 8 + (16 a^3 b - (a-b)^4) h^4 / 128 + O(h^6).
     """
-    r = math.sqrt(1.0 + (a * h) ** 2)
-    x = 0.5 * a * h + 0.5 * b * h / r
-    y = -1.0 + 0.5 * a * b * h * h / r
-    return math.hypot(x, y)
+    def raw(p: Vec3, t: float) -> Vec3:
+        s = a if t == 0.0 else b
+        return (-s * p[1], s * p[0], 0.0)
+
+    step = BASELINE_STEPPERS["tvdrk2"]
+    return vec.norm(step(VelocityField(raw, name="two-speed"), (0.0, -1.0, 0.0), 0.0, h))
 
 
 @dataclass(frozen=True)
@@ -338,12 +343,10 @@ class AppendixAReport:
 
 
 def appendix_a_coefficients(a: float, b: float) -> Tuple[float, float, float]:
-    """Closed-form h^2 and h^4 coefficients of the planar two-speed norm.
+    """Closed-form h^2 and h^4 coefficients of ``tvdrk2_planar_norm``.
 
-    Expanding the exact construction gives
-    |p| = 1 + (a-b)^2 h^2 / 8 + (16 a^3 b - (a-b)^4) h^4 / 128 + O(h^6);
-    the commonly quoted form carries the opposite sign on the 16 a^3 b term,
-    which the construction itself contradicts (at a = b the norm exceeds 1 by
+    The commonly quoted h^4 coefficient carries the opposite sign on the
+    16 a^3 b term, which the step contradicts (at a = b its norm exceeds 1 by
     a^4 h^4 / 8).  Returns (c2, c4, c4_printed).
     """
     c2 = (a - b) ** 2 / 8.0
@@ -356,9 +359,8 @@ def verify_appendix_a() -> AppendixAReport:
     """Extract the h^2 and h^4 coefficients of |p_TVDRK2| - 1 numerically.
 
     Fits (norm - 1)/h^2 against [1, h^2, h^4] for speeds a = 1, b = 1.1 over
-    h = 0.08/2^0..5 and compares with the closed forms of the exact
-    construction (see appendix_a_coefficients for the sign discrepancy
-    against the printed expansion, which the report also carries).  Also checks the
+    h = 0.08/2^0..5 and compares with ``appendix_a_coefficients`` (the report
+    also carries the printed h^4 coefficient).  Also checks the
     Lipschitz-coupled case b = a + O(h), whose norm defect must fit slope ~4.
     """
     a, b = 1.0, 1.1
@@ -389,20 +391,36 @@ class AppendixBReport:
     passed: bool
 
 
+def _angle_euler(_f, theta: float, _s: float, h: float) -> float:
+    """Projected forward Euler on the great-circle model: theta -> (1 + arctan h) theta."""
+    return (1.0 + math.atan(h)) * theta
+
+
+def _angle_lerp(a: float, b: float, w: float) -> float:
+    return a + w * (b - a)
+
+
+# PFE, PTVDRK2' and PTVDRK3' on the angle, in the stages of their ``baselines`` entries.
+ANGLE_STEPPERS = {
+    "pfe": partial(tvdrk_step, 1, _angle_euler, _angle_lerp),
+    "ptvdrk2p": partial(tvdrk_step, 2, _angle_euler, _angle_lerp),
+    "ptvdrk3p": partial(tvdrk_step, 3, _angle_euler, _angle_lerp),
+}
+
+
 def verify_appendix_b() -> AppendixBReport:
     """Measure global orders of the angle recurrences and the PTVDRK3' defect.
 
-    On the great-circle model theta' = theta the internal-projection schemes
-    reduce to scalar multiplications; stepping them through
-    ``integrate_steps`` to T = 1 against e^T yields global orders 1 (PFE)
-    and 2 (both primed TVDRK schemes).  The PTVDRK3' third-order coefficient
-    is -1/6 against the exact +1/6, a leading defect of -1/3.
+    On the great-circle model theta' = theta the ``ANGLE_STEPPERS`` reduce to
+    scalar multiplications; stepping them through ``integrate_steps`` to
+    T = 1 against e^T yields global orders 1 (PFE) and 2 (both primed TVDRK
+    schemes).  The PTVDRK3' third-order coefficient is -1/6 against the
+    exact +1/6, a leading defect of -1/3.
     """
     t_final = 1.0
     exact = math.exp(t_final)
     orders: Dict[str, float] = {}
-    for scheme in ("pfe", "ptvdrk2p", "ptvdrk3p"):
-        step = lambda _f, th, _t, k: angle_recurrence(scheme, th, k)  # noqa: E731
+    for scheme, step in ANGLE_STEPPERS.items():
         rows = []
         for h in DEFAULT_H_LIST:
             for _, theta in integrate_steps(step, None, 1.0, 0.0, t_final, h):
@@ -411,7 +429,7 @@ def verify_appendix_b() -> AppendixBReport:
         orders[scheme] = fit_order(rows, floor=0.0, cap=math.inf)
 
     def c3(h: float) -> float:
-        return (angle_recurrence("ptvdrk3p", 1.0, h) - math.exp(h)) / h**3
+        return (ANGLE_STEPPERS["ptvdrk3p"](None, 1.0, 0.0, h) - math.exp(h)) / h**3
 
     h0 = 1e-2
     coeff = 2.0 * c3(h0 / 2.0) - c3(h0)  # eliminate the O(h) contamination

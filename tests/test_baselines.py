@@ -15,7 +15,6 @@ from sphererk.baselines import (
     RK6_A,
     RK6_B,
     RK6_TABLEAU,
-    angle_recurrence,
     rk6_step,
 )
 from sphererk.fields import VelocityField, rigid_rotation_field, vortex4_field
@@ -86,21 +85,6 @@ def test_ptvdrk2p_differs_from_ptvdrk2():
     assert vec.norm(vec.sub(a, b)) > 1e-12
 
 
-def test_tvdrk2_planar_norm_matches_3d_step():
-    # speed a at the start point, b at the first stage, motion in the z=0 plane
-    a, b, h = 1.0, 1.3, 0.2
-    speeds = iter([a, b])
-
-    def raw(x, t):
-        tangent = vec.cross((0.0, 0.0, 1.0), x)
-        tangent = vec.scale(tangent, 1.0 / vec.norm(tangent))
-        return vec.scale(tangent, next(speeds))
-
-    field = VelocityField(raw, name="two-speed")
-    out = BASELINE_STEPPERS["tvdrk2"](field, (0.0, -1.0, 0.0), 0.0, h)
-    assert vec.norm(out) == pytest.approx(tvdrk2_planar_norm(a, b, h), abs=1e-15)
-
-
 def test_tvdrk2_planar_norm_expansion():
     from sphererk.harness import appendix_a_coefficients
 
@@ -135,33 +119,6 @@ def test_norm_error_orders_of_unprojected_schemes():
             rows.append((h, abs(vec.norm(end) - 1.0)))
         slope = np.polyfit(np.log([r[0] for r in rows]), np.log([r[1] for r in rows]), 1)[0]
         assert abs(slope - order) <= 0.3, scheme
-
-
-def test_angle_recurrence_identity_at_zero_step():
-    for scheme in ("pfe", "ptvdrk2p", "ptvdrk3p"):
-        assert angle_recurrence(scheme, 1.7, 0.0) == 1.7
-
-
-def test_angle_recurrence_series_coefficients():
-    # PTVDRK2' factor = 1 + h + h^2/2 - h^3/3 + ...; PTVDRK3' has -1/6
-    for scheme, c3 in (("ptvdrk2p", -1.0 / 3.0), ("ptvdrk3p", -1.0 / 6.0)):
-        def coeff(h):
-            factor = angle_recurrence(scheme, 1.0, h)
-            return (factor - 1.0 - h - 0.5 * h * h) / h**3
-
-        extrapolated = 2.0 * coeff(5e-3) - coeff(1e-2)
-        assert extrapolated == pytest.approx(c3, rel=1e-3)
-
-
-def test_angle_recurrence_pfe_leading_terms():
-    h = 1e-3
-    got = angle_recurrence("pfe", 2.0, h)
-    assert got == pytest.approx(2.0 * (1.0 + h - h**3 / 3.0), rel=1e-12)
-
-
-def test_angle_recurrence_rejects_other_schemes():
-    with pytest.raises(ValueError):
-        angle_recurrence("rk4", 1.0, 0.1)
 
 
 # Butcher's seven-stage sixth-order tableau in exact arithmetic.

@@ -11,7 +11,6 @@ from sphererk import eikonal, vec
 from sphererk.batch import exp_rows, slerp_rows
 from sphererk.eikonal import (
     _rhs,
-    COUPLED_SCHEMES,
     COUPLED_STEPPERS,
     MODELS,
     RAY_BLOCK,
@@ -309,7 +308,7 @@ COUPLED_STEP_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+@pytest.mark.parametrize("scheme", COUPLED_STEPPERS)
 def test_coupled_step_makes_its_stage_structure(monkeypatch, scheme):
     counts = dict.fromkeys(("exp_rows", "slerp_rows", "normalize_rows", "v"), 0)
 
@@ -332,7 +331,7 @@ def test_order_shorthand():
     assert scheme_for_order(1) == "sfe"
     assert scheme_for_order(3) == "stvdrk3"
     # in the order of the CLI's --scheme choices and the parametrized test ids
-    assert COUPLED_SCHEMES == ("sfe", "pfe", "stvdrk2", "tvdrk2", "ptvdrk2", "stvdrk3", "tvdrk3", "ptvdrk3")
+    assert list(COUPLED_STEPPERS) == ["sfe", "pfe", "stvdrk2", "tvdrk2", "ptvdrk2", "stvdrk3", "tvdrk3", "ptvdrk3"]
 
 
 def test_y31_grad_v_matches_finite_differences_below_the_equator():
@@ -348,7 +347,7 @@ def test_y31_grad_v_matches_finite_differences_below_the_equator():
         assert np.max(np.abs(grad[:, j] - fd)) < 1e-6 * max(1.0, float(np.max(np.abs(grad[:, j]))))
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+@pytest.mark.parametrize("scheme", COUPLED_STEPPERS)
 def test_non_finite_velocity_raises_non_finite_state(scheme):
     def v(x):
         out = np.ones(x.shape[:-1])
@@ -360,7 +359,7 @@ def test_non_finite_velocity_raises_non_finite_state(scheme):
         trace_wavefront(model, XS, 8, 0.1, 1.0, scheme=scheme)
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+@pytest.mark.parametrize("scheme", COUPLED_STEPPERS)
 def test_non_finite_velocity_gradient_raises_in_the_first_step(scheme):
     # only the k right-hand side sees grad(v); x's stays finite
     model = VelocityModel(v=lambda x: np.ones(x.shape[:-1]), grad_v=lambda x: np.full(x.shape, math.nan))
@@ -494,12 +493,12 @@ def _assert_pinned_ray(model, scheme, pinned):
     assert np.max(np.abs(front.k[1] - k)) <= 1e-14
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+@pytest.mark.parametrize("scheme", COUPLED_STEPPERS)
 def test_pinned_ray_endpoints(scheme):
     _assert_pinned_ray(y31_model(), scheme, PINNED_RAYS)
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+@pytest.mark.parametrize("scheme", COUPLED_STEPPERS)
 def test_pinned_expz2_ray_endpoints(scheme):
     _assert_pinned_ray(gaussian_z_model(), scheme, PINNED_EXPZ2_RAYS)
 

@@ -8,12 +8,13 @@ import pytest
 
 from conftest import last_state, rotate_about
 from sphererk import cli, harness, vec
-from sphererk.baselines import ON_SPHERE, rk6_step
+from sphererk.baselines import BASELINE_STEPPERS, ON_SPHERE, rk6_step
 from sphererk.errors import NonFiniteStateError, NonPositiveError, ReferenceUnavailableError
 from sphererk.fields import VORTEX4_CENTERS, VortexConfig
 from sphererk.geometry import UNIT_NORM_TOL, project
 from sphererk.integrators import integrate_steps
 from sphererk.harness import (
+    ANGLE_STEPPERS,
     EXPECTED_E2_ORDER,
     EXPECTED_ENORM_ORDER,
     REFERENCE_H,
@@ -78,6 +79,15 @@ def test_fit_order_needs_three_usable_rows():
         fit_order([(0.1, 1e-3)] * 4)
     with pytest.raises(ValueError):
         fit_order([(0.1, 1e-2), (0.05, 2.5e-3), (0.05, 2.5e-3), (0.05, 2.5e-3)])
+
+
+@pytest.mark.parametrize("finest", [0, -2])
+def test_fit_order_rejects_finest_below_one(finest):
+    # usable[-finest:] would fit all six slope-2 rows at finest=0 and the
+    # finest four at finest=-2, without a word
+    rows = [(0.1 * 2.0**-k, (0.1 * 2.0**-k) ** 2) for k in range(6)]
+    with pytest.raises(ValueError, match="^finest must be None or >= 1, got -?[02]$"):
+        fit_order(rows, finest=finest)
 
 
 @pytest.mark.parametrize("bad", [-0.05, 0.0, math.inf, math.nan])
@@ -308,6 +318,41 @@ def test_appendix_a_closed_forms_at_unequal_speeds(h):
     assert c4 - c4_printed == pytest.approx(0.7**3 * 1.3 / 4.0, rel=1e-12)
 
 
+def test_appendix_a_verdict_follows_the_shipped_stepper(monkeypatch):
+    # TVDRK2 with final combine weight 0.45 instead of 1/2: the planar model
+    # steps the table entry, so the verdict sees the fault
+    fe = BASELINE_STEPPERS["fe"]
+
+    def tvdrk2_045(f, x, t, h):
+        y2 = fe(f, fe(f, x, t, h), t + h, h)
+        return vec.axpy(0.45, vec.sub(y2, x), x)
+
+    monkeypatch.setitem(BASELINE_STEPPERS, "tvdrk2", tvdrk2_045)
+    assert not verify_appendix_a().passed
+
+
+def test_angle_stepper_identity_at_zero_step():
+    for scheme in ("pfe", "ptvdrk2p", "ptvdrk3p"):
+        assert ANGLE_STEPPERS[scheme](None, 1.7, 0.0, 0.0) == 1.7
+
+
+def test_angle_stepper_series_coefficients():
+    # PTVDRK2' factor = 1 + h + h^2/2 - h^3/3 + ...; PTVDRK3' has -1/6
+    for scheme, c3 in (("ptvdrk2p", -1.0 / 3.0), ("ptvdrk3p", -1.0 / 6.0)):
+        def coeff(h):
+            factor = ANGLE_STEPPERS[scheme](None, 1.0, 0.0, h)
+            return (factor - 1.0 - h - 0.5 * h * h) / h**3
+
+        extrapolated = 2.0 * coeff(5e-3) - coeff(1e-2)
+        assert extrapolated == pytest.approx(c3, rel=1e-3)
+
+
+def test_angle_stepper_pfe_leading_terms():
+    h = 1e-3
+    got = ANGLE_STEPPERS["pfe"](None, 2.0, 0.0, h)
+    assert got == pytest.approx(2.0 * (1.0 + h - h**3 / 3.0), rel=1e-12)
+
+
 def test_appendix_b_report():
     rep = verify_appendix_b()
     assert rep.passed
@@ -343,8 +388,8 @@ def test_appendix_a_verdict_fails_on_each_condition_alone(monkeypatch, dc2, dc4,
     assert not rep.passed
 
 
-# verify_appendix_b on recurrences that miss one of its conditions: a factor
-# exp(h) + h^(p + 1.2) has global order p + 0.2, and adding d h^3 to a
+# verify_appendix_b on angle steppers that miss one of its conditions: a
+# factor exp(h) + h^(p + 1.2) has global order p + 0.2, and adding d h^3 to a
 # PTVDRK3' step moves its h^3 coefficient by d, here 6% of 1/3.
 @pytest.mark.parametrize("scheme, order, extra", [
     ("pfe", 1.2, None),
@@ -352,16 +397,14 @@ def test_appendix_a_verdict_fails_on_each_condition_alone(monkeypatch, dc2, dc4,
     ("ptvdrk3p", 2.0, -0.02),
 ], ids=["pfe-order", "ptvdrk2p-order", "ptvdrk3p-coefficient"])
 def test_appendix_b_verdict_fails_on_each_condition_alone(monkeypatch, scheme, order, extra):
-    real = harness.angle_recurrence
+    real = ANGLE_STEPPERS[scheme]
 
-    def recurrence(s, theta, h):
-        if s != scheme:
-            return real(s, theta, h)
+    def step(f, theta, t, h):
         if extra is None:
             return (math.exp(h) + h ** (order + 1.0)) * theta
-        return real(s, theta, h) + extra * h**3 * theta
+        return real(f, theta, t, h) + extra * h**3 * theta
 
-    monkeypatch.setattr(harness, "angle_recurrence", recurrence)
+    monkeypatch.setitem(ANGLE_STEPPERS, scheme, step)
     rep = verify_appendix_b()
     expected = {"pfe": 1.0, "ptvdrk2p": 2.0, "ptvdrk3p": 2.0, scheme: order}
     assert rep.orders == pytest.approx(expected, abs=0.05)

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import last_state
 from sphererk.batch import exp_rows, normalize_rows, row_angle, row_dot, row_norm, slerp_rows
-from sphererk.eikonal import COUPLED_SCHEMES, COUPLED_STEPPERS, initial_rays, trace_wavefront, y31_model
+from sphererk.eikonal import COUPLED_STEPPERS, initial_rays, trace_wavefront, y31_model
 from sphererk.integrators import integrate_steps, tvdrk_step
 from sphererk.pharmonic import (
     DirectorCurve,
@@ -89,7 +89,7 @@ def test_row_kernels_do_not_depend_on_the_layout():
         assert_same_bits(slerp_rows(pc, qc, t), slerp_rows(pf, qf, t))
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+@pytest.mark.parametrize("scheme", COUPLED_STEPPERS)
 def test_ray_step_does_not_depend_on_the_layout(scheme):
     model, y = spread_rays()
     rows, cols = layouts(*y)
@@ -117,7 +117,7 @@ def test_initial_rays_are_column_major():
     assert x0.flags.f_contiguous and k0.flags.f_contiguous
 
 
-@pytest.mark.parametrize("scheme", COUPLED_SCHEMES)
+@pytest.mark.parametrize("scheme", COUPLED_STEPPERS)
 def test_ray_step_keeps_column_major_state(scheme):
     model, y = spread_rays()
     x, k = COUPLED_STEPPERS[scheme](model, y, 0.0, H)
